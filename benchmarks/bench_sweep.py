@@ -1,25 +1,19 @@
 """Bench driver: sweep-grid throughput → ``BENCH_sweep.json``.
 
 Times the fig8-style (policy × rate) grid — the shape behind every cost
-figure — serially and with the process-parallel harness, verifies the
-parallel rows are bit-identical to the serial ones, and appends cells/s
-plus the measured speedup to the repo-root ``BENCH_sweep.json``.  The
-serial/parallel sections run with the result cache disabled (reused rows
-would fake the parallel speedup); a cache section then measures the
-cache itself — a cold sweep into a fresh cache directory versus the warm
-re-run — and records the warm speedup plus hit/miss counts in the entry
-meta, asserting warm rows stay bit-identical to cold rows.  A final
-section runs the same grid through the structure-of-arrays batch engine
-(cache off, single process), asserts its rows equal the serial rows
-bitwise, and records ``cells_per_s_batch`` / ``batch_speedup``.
-
-Note: on a single-core host the parallel section degrades to the serial
-loop (``parallel.sweep`` refuses to fork a pool that would time-slice
-one CPU), so ``speedup`` ≈ 1 there; the batch section is unaffected.
+figure — one cell at a time (each a lone cell, so the serial engine)
+and as one sweep (one clock group, so one structure-of-arrays batch),
+asserts the batch rows equal the serial rows bitwise, and appends
+cells/s plus ``batch_speedup`` to the repo-root ``BENCH_sweep.json``.
+Both sections run with the result cache disabled; a cache section then
+measures the cache itself — a cold sweep into a fresh cache directory
+versus the warm re-run — and records the warm speedup plus hit/miss
+counts in the entry meta, asserting warm rows stay bit-identical to
+cold rows.
 
 Run it directly::
 
-    PYTHONPATH=src python benchmarks/bench_sweep.py [--quick] [--jobs N]
+    PYTHONPATH=src python benchmarks/bench_sweep.py [--quick]
 """
 
 from __future__ import annotations
@@ -34,10 +28,8 @@ from typing import Iterator, Optional
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro.experiments import Scenario, resolve_jobs
-from repro.experiments import batch as batch_mod
+from repro.experiments import Scenario
 from repro.experiments import cache as result_cache
-from repro.experiments import parallel as parallel_mod
 from repro.experiments import runner
 from repro.util import perf
 
@@ -69,27 +61,20 @@ def _grid(quick: bool) -> tuple[list[Scenario], list[str]]:
 
 @contextlib.contextmanager
 def _cache_env(enabled: bool, directory: Optional[str] = None) -> Iterator[None]:
-    """Pin the result-cache state for a measured section, then restore.
-
-    Sets both the module flag and the environment variables so parallel
-    sweep workers (fork or spawn) observe the same state.
-    """
-    saved_env = {
-        key: os.environ.get(key) for key in ("REPRO_CACHE", "REPRO_CACHE_DIR")
-    }
+    """Pin the result-cache state (and directory) for a measured
+    section, then restore."""
+    saved_dir = os.environ.get("REPRO_CACHE_DIR")
     was_enabled = result_cache.enabled()
-    os.environ["REPRO_CACHE"] = "1" if enabled else "0"
     if directory is not None:
         os.environ["REPRO_CACHE_DIR"] = directory
     (result_cache.enable if enabled else result_cache.disable)()
     try:
         yield
     finally:
-        for key, value in saved_env.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
+        if saved_dir is None:
+            os.environ.pop("REPRO_CACHE_DIR", None)
+        else:
+            os.environ["REPRO_CACHE_DIR"] = saved_dir
         (result_cache.enable if was_enabled else result_cache.disable)()
 
 
@@ -103,28 +88,27 @@ def _cache_counts() -> tuple[int, int]:
 
 def run_sweep_bench(
     quick: bool = False,
-    jobs: Optional[int] = None,
     output: Optional[os.PathLike] = None,
     write: bool = True,
 ) -> dict:
-    """Measure serial vs parallel sweep throughput and (optionally) record."""
+    """Measure serial vs batched sweep throughput and (optionally) record."""
     scenarios, policies = _grid(quick)
-    n_cells = len(scenarios) * len(policies)
-    jobs = jobs if jobs is not None else max(2, min(4, os.cpu_count() or 1))
+    cells = [(s, p) for s in scenarios for p in policies]
+    n_cells = len(cells)
 
-    # Serial vs parallel with the cache OFF: the parallel run must redo
-    # the work, not fetch the serial run's rows.
+    # Serial vs batch with the cache OFF: both must do the work.
     with _cache_env(enabled=False):
         t0 = time.perf_counter()
-        serial_rows = runner.sweep(scenarios, policies, jobs=1)
+        serial_rows = [row for cell in cells for row in runner.run_cells([cell])]
         serial_s = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        parallel_rows = parallel_mod.sweep(scenarios, policies, jobs=jobs)
-        parallel_s = time.perf_counter() - t0
+        batch_rows = runner.sweep(scenarios, policies)
+        batch_s = time.perf_counter() - t0
 
-    identical = parallel_rows == serial_rows
-    assert identical, "parallel sweep diverged from serial rows"
+    batch_identical = batch_rows == serial_rows
+    assert batch_identical, "batch sweep diverged from serial rows"
+    batch_speedup = serial_s / max(batch_s, 1e-9)
 
     # Cache section: cold sweep into a fresh directory, then the warm
     # re-run of the identical grid (this is the `figures` re-run shape).
@@ -132,11 +116,11 @@ def run_sweep_bench(
         with _cache_env(enabled=True, directory=tmp), perf.collecting():
             hits0, misses0 = _cache_counts()
             t0 = time.perf_counter()
-            cold_rows = runner.sweep(scenarios, policies, jobs=1)
+            cold_rows = runner.sweep(scenarios, policies)
             cache_cold_s = time.perf_counter() - t0
 
             t0 = time.perf_counter()
-            warm_rows = runner.sweep(scenarios, policies, jobs=1)
+            warm_rows = runner.sweep(scenarios, policies)
             cache_warm_s = time.perf_counter() - t0
             hits1, misses1 = _cache_counts()
 
@@ -144,28 +128,10 @@ def run_sweep_bench(
     assert cache_identical, "cached rows diverged from fresh rows"
     cache_warm_speedup = cache_cold_s / max(cache_warm_s, 1e-9)
 
-    # Batch section: the same cold grid through the structure-of-arrays
-    # engine (cache off so every cell is computed), single process.
-    batch_was = batch_mod.enabled()
-    with _cache_env(enabled=False):
-        batch_mod.enable()
-        try:
-            t0 = time.perf_counter()
-            batch_rows = runner.sweep(scenarios, policies, jobs=1)
-            batch_s = time.perf_counter() - t0
-        finally:
-            (batch_mod.enable if batch_was else batch_mod.disable)()
-    batch_identical = batch_rows == serial_rows
-    assert batch_identical, "batch sweep diverged from serial rows"
-    batch_speedup = serial_s / max(batch_s, 1e-9)
-
     metrics = {
         "cells": float(n_cells),
         "serial_s": serial_s,
-        "parallel_s": parallel_s,
         "cells_per_s_serial": n_cells / serial_s,
-        "cells_per_s_parallel": n_cells / parallel_s,
-        "speedup": serial_s / parallel_s,
         "cache_cold_s": cache_cold_s,
         "cache_warm_s": cache_warm_s,
         "cache_warm_speedup": cache_warm_speedup,
@@ -175,12 +141,10 @@ def run_sweep_bench(
     }
     meta = {
         "quick": quick,
-        "jobs": jobs,
         "seed": SEED,
         "host_cpus": os.cpu_count() or 1,
         "policies": list(policies),
         "rates": [s.rate for s in scenarios],
-        "rows_identical": identical,
         "cache_rows_identical": cache_identical,
         "batch_rows_identical": batch_identical,
         "cache_warm_speedup": cache_warm_speedup,
@@ -197,28 +161,16 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true",
                         help="tiny grid (smoke test)")
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="parallel worker count (default: min(4, CPUs), "
-                             "at least 2)")
     parser.add_argument("--no-write", action="store_true",
                         help="measure only; do not append to BENCH_sweep.json")
     parser.add_argument("--output", default=None,
                         help="override the BENCH json path")
     args = parser.parse_args(argv)
     result = run_sweep_bench(
-        quick=args.quick, jobs=args.jobs, output=args.output,
-        write=not args.no_write,
+        quick=args.quick, output=args.output, write=not args.no_write,
     )
     for key, value in result["metrics"].items():
         print(f"{key:>22}: {value:10.3f}")
-    cpus = result["meta"]["host_cpus"]
-    note = (
-        " — single core: parallel section ran serially"
-        if cpus <= 1 < result["meta"]["jobs"] else ""
-    )
-    print(f"{'jobs':>22}: {result['meta']['jobs']:10d} "
-          f"(host cpus {cpus}, "
-          f"resolve_jobs default {resolve_jobs(None)}){note}")
     return 0
 
 

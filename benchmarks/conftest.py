@@ -9,9 +9,9 @@ full-scale configuration (6 h periods, 10 h for the cost figures,
 
 Rendered tables are also written to ``benchmarks/results/`` so the
 EXPERIMENTS.md paper-vs-measured record can reference them.  Each bench
-header (and each recorded table) states the resolved sweep worker count
-and the default scenario seed so a recorded number can always be traced
-back to the exact configuration that produced it.
+header (and each recorded table) states the default scenario seed and
+the host's CPU count so a recorded number can always be traced back to
+the exact configuration that produced it.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import pytest
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.experiments import cache as result_cache
-from repro.experiments.parallel import resolve_jobs
 from repro.util import perf
 
 FULL = os.environ.get("REPRO_BENCH_FULL", "") not in ("", "0", "false")
@@ -36,21 +35,16 @@ RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 DEFAULT_SEED = 7
 
 # Collect perf counters for the whole bench session so the headers can
-# report result-cache hit/miss counts alongside jobs and seed.
+# report result-cache hit/miss counts alongside the seed.
 perf.enable()
 
 
 def bench_header() -> str:
-    """One-line run context: workers, seed, host CPUs, scale, cache state."""
+    """One-line run context: seed, host CPUs, scale, cache state."""
     counters = perf.snapshot()["counters"]
-    cpus = os.cpu_count() or 1
-    jobs = resolve_jobs(None)
-    # parallel.sweep clamps to the core count, so a requested worker
-    # count above it would only record fork overhead, not speedup.
-    note = " (single core: sweeps run serially)" if cpus <= 1 < jobs else ""
     return (
-        f"bench config: jobs={jobs} seed={DEFAULT_SEED} "
-        f"host_cpus={cpus}{note} "
+        f"bench config: seed={DEFAULT_SEED} "
+        f"host_cpus={os.cpu_count() or 1} "
         f"scale={'full' if FULL else 'fast'} "
         f"cache={'on' if result_cache.enabled() else 'off'} "
         f"cache_hits={int(counters.get('cache.hits', 0))} "

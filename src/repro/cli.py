@@ -31,19 +31,16 @@ Commands
 
 Sweep-backed commands (``compare``, ``figures``) consult the
 content-addressed result cache by default; pass ``--no-cache`` (or set
-``REPRO_CACHE=0``) to force fresh runs.
+``REPRO_CACHE=0``) to force fresh runs.  Cache misses that share a clock
+(interval, horizon, tick) run together in the structure-of-arrays batch
+engine when there are two or more of them, one vectorized tick for the
+whole group; a lone cell runs on the serial engine.  Rows are
+bit-identical either way.
 
 The fluid engine macro-steps through provably stationary stretches by
 default (bit-identical results, large speedups on steady-state-heavy
 scenarios); set ``REPRO_MACROSTEP=0`` to force per-tick stepping, e.g.
 when profiling the per-tick path itself.
-
-Sweep grids can additionally run through the structure-of-arrays batch
-engine: pass ``--batch`` on ``compare``/``figures`` (or set
-``REPRO_BATCH=1``) to advance every cache-miss grid cell in lockstep
-with one vectorized tick per step.  Rows stay bit-identical to the
-serial sweep; batching takes precedence over ``--jobs`` when both are
-given.
 
 Service-mode knobs (``repro serve``; flags take precedence):
 
@@ -116,43 +113,15 @@ def build_parser() -> argparse.ArgumentParser:
                        default="on_demand_hourly",
                        help="pricing model (default on_demand_hourly)")
 
-    def jobs_count(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-        if value < 0:
-            raise argparse.ArgumentTypeError(
-                f"must be >= 0 (0 = one per CPU), got {value}"
-            )
-        return value
-
-    def add_jobs_arg(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--jobs", type=jobs_count, default=None, metavar="N",
-            help="worker processes for sweep grids (0 = one per CPU; "
-                 "default: the REPRO_JOBS env var, else serial)",
-        )
-
     def add_cache_arg(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--no-cache", action="store_true",
             help="bypass the sweep result cache (same as REPRO_CACHE=0)",
         )
 
-    def add_batch_arg(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--batch", action="store_true",
-            help="run the sweep grid through the structure-of-arrays "
-                 "batch engine (same as REPRO_BATCH=1; bit-identical "
-                 "rows, takes precedence over --jobs)",
-        )
-
     run_p = sub.add_parser("run", help="run one policy on one scenario")
     run_p.add_argument("policy", choices=POLICY_NAMES)
     add_scenario_args(run_p)
-    add_jobs_arg(run_p)
-    add_batch_arg(run_p)
     run_p.add_argument("--timeline", action="store_true",
                        help="print the per-interval metrics")
     run_p.add_argument("--trace", metavar="PATH", default=None,
@@ -161,9 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_p = sub.add_parser("compare", help="race several policies")
     cmp_p.add_argument("policies", nargs="+", choices=POLICY_NAMES)
     add_scenario_args(cmp_p)
-    add_jobs_arg(cmp_p)
     add_cache_arg(cmp_p)
-    add_batch_arg(cmp_p)
 
     fig_p = sub.add_parser("figures", help="regenerate evaluation figures")
     fig_p.add_argument(
@@ -172,9 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fig_p.add_argument("--full", action="store_true",
                        help="paper-scale configuration (slow)")
-    add_jobs_arg(fig_p)
     add_cache_arg(fig_p)
-    add_batch_arg(fig_p)
 
     tenants_p = sub.add_parser(
         "tenants",
@@ -290,19 +255,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_no_cache(args: argparse.Namespace) -> None:
-    """Honour ``--no-cache``: disable here and in spawned sweep workers."""
+    """Honour ``--no-cache``."""
     if getattr(args, "no_cache", False):
-        os.environ["REPRO_CACHE"] = "0"
         result_cache.disable()
-
-
-def _apply_batch(args: argparse.Namespace) -> None:
-    """Honour ``--batch``: route sweep grids through the batch engine."""
-    if getattr(args, "batch", False):
-        from .experiments import batch as result_batch
-
-        os.environ["REPRO_BATCH"] = "1"
-        result_batch.enable()
 
 
 def _scenario_from(args: argparse.Namespace) -> Scenario:
@@ -318,27 +273,15 @@ def _scenario_from(args: argparse.Namespace) -> Scenario:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    _apply_batch(args)
-
-    def _execute():
-        scenario = _scenario_from(args)
-        if getattr(args, "batch", False):
-            # A batch of one: same RunResult, exercised through the
-            # structure-of-arrays engine.
-            from .engine.batch import BatchRunner
-            from .experiments.batch import _build_manager
-
-            return BatchRunner([_build_manager(scenario, args.policy)]).run()[0]
-        return run_policy(scenario, args.policy)
-
+    scenario = _scenario_from(args)
     if args.trace:
         obs.reset()
         with obs.tracing():
-            result = _execute()
+            result = run_policy(scenario, args.policy)
         n = obs.flush_jsonl(args.trace)
         print(f"trace: {n} events -> {args.trace}")
     else:
-        result = _execute()
+        result = run_policy(scenario, args.policy)
     print(result.summary())
     print(
         f"VMs provisioned={result.vms_provisioned} peak={result.vms_peak} "
@@ -357,13 +300,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     _apply_no_cache(args)
-    _apply_batch(args)
     scenario = _scenario_from(args)
     print(
         f"{'policy':>18}  {'Θ':>8}  {'Γ̄':>6}  {'Ω̄':>6}  {'ok':>3}  "
         f"{'cost $':>8}  {'peak VMs':>8}"
     )
-    rows = sweep([scenario], args.policies, jobs=args.jobs)
+    rows = sweep([scenario], args.policies)
     for r in rows:
         print(
             f"{r.policy:>18}  {r.theta:+8.4f}  {r.gamma:6.3f}  "
@@ -375,7 +317,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 def _cmd_figures(args: argparse.Namespace) -> int:
     _apply_no_cache(args)
-    _apply_batch(args)
     which = args.which or sorted(ALL_FIGURES)
     unknown = [w for w in which if w not in ALL_FIGURES]
     if unknown:
@@ -383,7 +324,7 @@ def _cmd_figures(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     for name in which:
-        result = ALL_FIGURES[name](fast=not args.full, jobs=args.jobs)
+        result = ALL_FIGURES[name](fast=not args.full)
         print(result.render())
         print()
     return 0

@@ -42,10 +42,12 @@ replaying the recorded per-tick increments with the same repeated
 ``+=`` and the same three-op drift recurrence as the serial engine.
 
 Failure injection is out of scope (the failure driver is a foreign
-kernel process); callers route such cells to the serial path.  The
-run-invariant validation hooks (``REPRO_VALIDATE=1``) are likewise a
-serial-path feature — :func:`repro.experiments.batch.sweep` falls back
-to per-cell runs under validation.
+kernel process that rebuilds fleets mid-interval, while the batch packs
+only at interval boundaries); :func:`repro.experiments.runner.run_cells`
+routes such cells to the serial path.  The run-invariant checker
+(``REPRO_VALIDATE=1``) sees every column through the same hooks as the
+serial engine: a ledger opened per cell, the queue checks after every
+tick and macro jump, and the interval checks in ``roll_interval``.
 """
 
 from __future__ import annotations
@@ -61,6 +63,7 @@ from ..dataflow.metrics import IntervalMetrics, MetricsTimeline
 from ..obs import collector as _obs
 from ..sim.kernel import Environment
 from ..util import perf
+from ..validate import invariants as _validate
 from .executor import _EPS, FluidExecutor, _macro_default, _seqsum
 from .manager import RunManager, RunResult, vm_ledger
 from .monitor import Monitor
@@ -163,8 +166,10 @@ class BatchRunner:
     ----------
     managers:
         One :class:`RunManager` per cell.  All cells must share
-        ``spec.interval``, ``spec.n_intervals`` and ``tick``; failure
-        injection is not supported (route those cells serially).
+        ``spec.interval``, ``spec.n_intervals`` and ``tick``; cells
+        that use reliability machinery
+        (:attr:`RunManager.uses_reliability`) are not supported (route
+        those cells serially).
     rate_keys:
         Optional hashable key per cell; cells with equal keys promise
         input profiles with bitwise-identical ``rate_at`` outputs (e.g.
@@ -194,10 +199,10 @@ class BatchRunner:
         m0 = managers[0]
         shape0 = (m0.spec.interval, m0.spec.n_intervals, m0.tick)
         for m in managers:
-            if m.failures is not None and m.failures.enabled:
+            if m.uses_reliability:
                 raise ValueError(
-                    "batch runs do not support failure injection; "
-                    "run those cells serially"
+                    "batch runs do not support failure injection, spot "
+                    "revocation or checkpointing; run those cells serially"
                 )
             if (m.spec.interval, m.spec.n_intervals, m.tick) != shape0:
                 raise ValueError(
@@ -288,6 +293,8 @@ class BatchRunner:
         )
         st.reports = [apply_plan(m.provider, ex, plan, env.now)]
         RunManager._trace_reconcile(st.reports[0], env.now, interval=0)
+        if _validate.enabled():
+            _validate.checker().register_executor(ex)
         st.env = env
         st.ex = ex
         st.monitor = monitor
@@ -615,9 +622,22 @@ class BatchRunner:
         else:
             rec = self._phases(pack, t, tick)
         self.ticks_executed += 1
+        if _validate.enabled():
+            self._check(pack, t)
         if snap is not None:
             t = self._try_jump(pack, snap, rec, t, b, gate_cap, tick)
         return t + tick
+
+    def _check(self, pack: _Pack, t: float, skipped: int = 0) -> None:
+        """The checker's queue hooks on every column at grid point ``t``:
+        after a real tick, or after a jump over ``skipped`` ticks."""
+        checker = _validate.checker()
+        for st in pack.states:
+            st.env._now = t
+            if skipped:
+                checker.after_macro_jump(st.ex, skipped)
+            else:
+                checker.after_tick(st.ex)
 
     def _gate(self, pack: _Pack, t: float, tick: float) -> Optional[float]:
         """Batch-wide change cap: the earliest time any column's tick
@@ -707,6 +727,8 @@ class BatchRunner:
             perf.add("batch.macro_jumps")
             perf.add("batch.macro_ticks_skipped", k)
             perf.add("engine.ticks", k * len(pack.states))
+        if _validate.enabled():
+            self._check(pack, g, skipped=k)
         return g
 
     def _phases(self, pack: _Pack, t: float, dt: float) -> _TickRecord:

@@ -180,6 +180,16 @@ class RunManager:
             hedge_horizon if hedge_horizon is not None else 2.0 * spec.interval
         )
 
+    @property
+    def uses_reliability(self) -> bool:
+        """True when failure injection, spot revocation or checkpointing
+        is on (serial-engine features)."""
+        return (
+            (self.failures is not None and self.failures.enabled)
+            or (self.revocations is not None and self.revocations.enabled)
+            or self.checkpoint_interval is not None
+        )
+
     @staticmethod
     def _trace_reconcile(
         report, now: float, interval: int, tenant_id: Optional[int] = None

@@ -27,11 +27,11 @@ Two admission policies make contention outcomes comparable:
     find its share claimable.
 
 Execution routes like the rest of the harness: the SoA kernel carries
-the fleet when it can (bit-identical per-tenant results, one tick for
-all tenants), and the serial per-tenant loop takes over under
-``REPRO_VALIDATE=1`` or when any tenant uses the reliability machinery
-(failure injection is a serial-engine feature, as in
-:mod:`repro.experiments.batch`).
+the fleet (bit-identical per-tenant results, one tick for all tenants,
+checked by the invariant checker like the serial engine), and the
+serial per-tenant loop takes over only when some tenant uses the
+reliability machinery (failure injection is a serial-engine feature, as
+in :func:`repro.experiments.runner.run_cells`).
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from typing import Hashable, Mapping, Optional, Sequence
 
 from ..cloud.provider import CloudProvider, VMClass
 from ..obs import collector as _obs
-from ..validate import invariants as _validate
 from .batch import BatchRunner
 from .manager import RunManager, RunResult
 
@@ -388,25 +387,21 @@ class TenantFleet:
 
     @property
     def uses_reliability(self) -> bool:
-        """True when any tenant runs failure/revocation machinery."""
-        return any(
-            (m.failures is not None and m.failures.enabled)
-            or (m.revocations is not None and m.revocations.enabled)
-            for m in self.managers
-        )
+        """True when any tenant runs reliability machinery."""
+        return any(m.uses_reliability for m in self.managers)
 
     def run(self) -> FleetResult:
         """Execute every tenant's full optimization period.
 
-        SoA lockstep when possible; the serial per-tenant loop under
-        ``REPRO_VALIDATE=1`` or when reliability machinery is active
-        (both are serial-engine features).  Serial tenants run to
-        completion one after another against the shared provider, so
-        capacity is contended in tenant order rather than in simulation
-        order — an approximation the SoA path does not make.
+        SoA lockstep unless reliability machinery is active (a
+        serial-engine feature); then the serial per-tenant loop runs.
+        Serial tenants run to completion one after another against the
+        shared provider, so capacity is contended in tenant order rather
+        than in simulation order — an approximation the SoA path does
+        not make.
         """
         samples: list[FleetSample] = []
-        if _validate.enabled() or self.uses_reliability:
+        if self.uses_reliability:
             mode = "serial"
             results = []
             for tenant, m in zip(self.tenants, self.managers):

@@ -32,8 +32,8 @@ S29 adds three warm-path layers in front of the disk entries:
   at most every ``REPRO_FP_TTL_S`` seconds; only an actual mtime/size
   change re-hashes.  Cost is surfaced via ``cache.fingerprint_ns``.
 * a **serving LRU** of deserialized rows keyed by the content hash
-  (:func:`enable_serve_tier`; off by default so batch CLI semantics are
-  unchanged) — a warm hit skips JSON parsing entirely.
+  (:func:`enable_serve_tier`; off by default so one-shot CLI semantics
+  are unchanged) — a warm hit skips JSON parsing entirely.
 * a **delta-keyed secondary index**: every stored entry also registers
   one masked key per :data:`DELTA_FIELDS` member (the fingerprint minus
   that field).  A request differing from a cached base in only that
@@ -87,14 +87,14 @@ import time
 from collections import OrderedDict
 from dataclasses import asdict
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 from ..cloud.resources import VMClass, VMInstance
 from ..obs import collector as _trace
 from ..util import perf
 from ..validate import invariants as _validate
-from .runner import SweepRow
-from .scenarios import Scenario, run_policy
+from .runner import SweepRow, run_cells
+from .scenarios import Scenario
 
 __all__ = [
     "enable",
@@ -109,6 +109,7 @@ __all__ = [
     "store",
     "delta_lookup",
     "serve_lookup",
+    "gate",
     "run_cell",
     "enable_serve_tier",
     "disable_serve_tier",
@@ -142,8 +143,8 @@ _code_fp_stat: Optional[tuple] = None
 _code_fp_checked: float = float("-inf")
 
 #: Subpackages whose source a sweep cell executes.  Harness-only layers
-#: (figures, parallel, cli, report, obs, util, serve, this module) are
-#: excluded: they shape orchestration, not row values.
+#: (figures, cli, report, obs, util, serve, this module) are excluded:
+#: they shape orchestration, not row values.
 _FINGERPRINTED_PACKAGES = (
     "cloud",
     "core",
@@ -308,7 +309,7 @@ class _ServeLRU:
 def enable_serve_tier(capacity: Optional[int] = None) -> None:
     """Activate the in-memory serving LRU (``REPRO_SERVE_LRU`` entries).
 
-    Off by default: the batch CLI runs cells once per process, so an LRU
+    Off by default: the one-shot CLI runs cells once per process, so an LRU
     would only shadow the per-test/per-run cache directories.  The serve
     daemon turns it on at boot.
     """
@@ -885,36 +886,58 @@ def serve_lookup(
     return None
 
 
-def run_cell(scenario: Scenario, policy_name: str) -> SweepRow:
-    """Execute one (scenario, policy) grid cell through the cache.
+def gate(
+    cells: list[tuple[Scenario, str]],
+    simulate: Callable[[list[tuple[Scenario, str]]], list],
+) -> list[SweepRow]:
+    """Pass ``cells`` through the cache, simulating only the misses.
 
-    The serial sweep loop, the parallel workers, and the serve daemon's
-    cold path all funnel through here.  Warm answers come from
-    :func:`serve_lookup` (LRU / disk / delta); a cold cell runs the
-    simulation and stores the row with its fingerprint and VM ledger.
+    Every sweep cell goes through here, whichever engine runs it.  Warm
+    answers come from :func:`serve_lookup` (LRU / disk / delta).  The
+    remaining cells go to ``simulate`` in one call, which returns one
+    :class:`~repro.engine.manager.RunResult` per cell, in order.  Each
+    fresh row is stored with its fingerprint and VM ledger and put in
+    the serving LRU.  Bypassed cells (:func:`_bypass`) are simulated
+    but never looked up or stored.  Rows come back in input order.
     """
-    if _bypass(scenario):
-        return SweepRow.from_result(
-            scenario, run_policy(scenario, policy_name)
+    rows: list[Optional[SweepRow]] = [None] * len(cells)
+    misses: list[tuple[int, Optional[str]]] = []
+    for i, (scenario, policy_name) in enumerate(cells):
+        if _bypass(scenario):
+            misses.append((i, None))
+            continue
+        warm = serve_lookup(scenario, policy_name)
+        if warm is not None:
+            rows[i] = warm[0]
+            continue
+        key = cache_key(scenario, policy_name)
+        perf.add("cache.misses")
+        _trace.emit("cache_miss", t=0.0, key=key, policy=policy_name)
+        misses.append((i, key))
+    results = simulate([cells[i] for i, _ in misses])
+    for (i, key), result in zip(misses, results):
+        scenario, policy_name = cells[i]
+        row = rows[i] = SweepRow.from_result(scenario, result)
+        if key is None:
+            continue
+        store(
+            key,
+            policy_name,
+            row,
+            fingerprint=scenario.fingerprint(),
+            ledger=result.vm_ledger,
         )
-    warm = serve_lookup(scenario, policy_name)
-    if warm is not None:
-        return warm[0]
-    key = cache_key(scenario, policy_name)
-    perf.add("cache.misses")
-    _trace.emit("cache_miss", t=0.0, key=key, policy=policy_name)
-    result = run_policy(scenario, policy_name)
-    row = SweepRow.from_result(scenario, result)
-    store(
-        key,
-        policy_name,
-        row,
-        fingerprint=scenario.fingerprint(),
-        ledger=getattr(result, "vm_ledger", None),
-    )
-    if _serve_lru is not None:
-        _serve_lru.put(key, row)
-    return row
+        if _serve_lru is not None:
+            _serve_lru.put(key, row)
+    return rows  # type: ignore[return-value]
+
+
+def run_cell(scenario: Scenario, policy_name: str) -> SweepRow:
+    """One cell through :func:`repro.experiments.runner.run_cells`.
+
+    The serve daemon's cold path: the pool runs one cell per job.
+    """
+    return run_cells([(scenario, policy_name)])[0]
 
 
 # -- maintenance --------------------------------------------------------------

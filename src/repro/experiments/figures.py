@@ -86,13 +86,8 @@ def figure2(
     n_vms: int = 6,
     days: float = 4.0,
     fast: bool = False,
-    jobs: Optional[int] = None,
 ) -> FigureResult:
-    """Fig. 2: per-VM CPU performance variability over four days.
-
-    ``jobs`` is accepted for driver-interface uniformity; trace
-    statistics are not swept, so it is a no-op here.
-    """
+    """Fig. 2: per-VM CPU performance variability over four days."""
     if fast:
         days = 1.0
         n_vms = 3
@@ -136,12 +131,8 @@ def figure3(
     seed: int = 0,
     days: float = 4.0,
     fast: bool = False,
-    jobs: Optional[int] = None,
 ) -> FigureResult:
-    """Fig. 3: network latency/bandwidth variation between a VM pair.
-
-    ``jobs`` is accepted for driver-interface uniformity (no sweep).
-    """
+    """Fig. 3: network latency/bandwidth variation between a VM pair."""
     if fast:
         days = 1.0
     from ..cloud.traces import NetworkTraceConfig
@@ -199,7 +190,6 @@ def figure4(
     fast: bool = False,
     seed: int = 7,
     include_bruteforce: bool = True,
-    jobs: Optional[int] = None,
 ) -> FigureResult:
     """Fig. 4: static deployments under the four variability modes."""
     period = _FAST_PERIOD if fast else _FULL_PERIOD
@@ -215,7 +205,7 @@ def figure4(
         )
         for mode in ("none", "data", "infra", "both")
     ]
-    rows_raw = sweep(scenarios, policies, jobs=jobs)
+    rows_raw = sweep(scenarios, policies)
     rows = [
         [r.variability, r.policy, r.omega, r.theta, r.constraint_met]
         for r in rows_raw
@@ -240,7 +230,6 @@ def figure5(
     rates: Optional[Sequence[float]] = None,
     fast: bool = False,
     seed: int = 7,
-    jobs: Optional[int] = None,
 ) -> FigureResult:
     """Fig. 5: static local/global relative throughput vs data rate."""
     period = _FAST_PERIOD if fast else _FULL_PERIOD
@@ -249,7 +238,7 @@ def figure5(
         Scenario(rate=r, variability="none", seed=seed, period=period)
         for r in rates
     ]
-    rows_raw = sweep(scenarios, ["static-local", "static-global"], jobs=jobs)
+    rows_raw = sweep(scenarios, ["static-local", "static-global"])
     rows = [
         [r.rate, r.policy, r.omega, r.theta, r.constraint_met]
         for r in rows_raw
@@ -277,7 +266,6 @@ def figure6(
     rates: Optional[Sequence[float]] = None,
     fast: bool = False,
     seed: int = 7,
-    jobs: Optional[int] = None,
 ) -> FigureResult:
     """Fig. 6: local vs global adaptation under infrastructure variability."""
     period = _FAST_PERIOD if fast else _FULL_PERIOD
@@ -292,7 +280,7 @@ def figure6(
         )
         for r in rates
     ]
-    rows_raw = sweep(scenarios, ["local", "global"], jobs=jobs)
+    rows_raw = sweep(scenarios, ["local", "global"])
     rows = [
         [r.rate, r.policy, r.omega, r.theta, r.cost, r.constraint_met]
         for r in rows_raw
@@ -315,7 +303,6 @@ def figure7(
     rates: Optional[Sequence[float]] = None,
     fast: bool = False,
     seed: int = 7,
-    jobs: Optional[int] = None,
 ) -> FigureResult:
     """Fig. 7: local vs global adaptation under data-rate variability."""
     period = _FAST_PERIOD if fast else _FULL_PERIOD
@@ -330,7 +317,7 @@ def figure7(
         )
         for r in rates
     ]
-    rows_raw = sweep(scenarios, ["local", "global"], jobs=jobs)
+    rows_raw = sweep(scenarios, ["local", "global"])
     rows = [
         [r.rate, r.policy, r.omega, r.theta, r.cost, r.constraint_met]
         for r in rows_raw
@@ -362,7 +349,6 @@ def figure8(
     fast: bool = False,
     seed: int = 7,
     n_seeds: int = 1,
-    jobs: Optional[int] = None,
 ) -> FigureResult:
     """Fig. 8: dollar cost over 10 h for the four adaptive policies.
 
@@ -386,7 +372,7 @@ def figure8(
             )
             for r in rates
         ]
-        replicas.append(sweep(scenarios, list(_FIG8_POLICIES), jobs=jobs))
+        replicas.append(sweep(scenarios, list(_FIG8_POLICIES)))
     rows_raw = average_rows(replicas) if n_seeds > 1 else replicas[0]
     rows = [
         [r.rate, r.policy, r.cost, r.omega, r.theta, r.constraint_met]
@@ -411,7 +397,6 @@ def figure9(
     fig8: Optional[FigureResult] = None,
     fast: bool = False,
     seed: int = 7,
-    jobs: Optional[int] = None,
 ) -> FigureResult:
     """Fig. 9: relative cost savings attributable to application dynamism.
 
@@ -420,7 +405,7 @@ def figure9(
     local-nodyn.
     """
     if fig8 is None:
-        fig8 = figure8(fast=fast, seed=seed, jobs=jobs)
+        fig8 = figure8(fast=fast, seed=seed)
     by_key = {(r.rate, r.policy): r for r in fig8.sweep_rows}
     rates = sorted({r.rate for r in fig8.sweep_rows})
 
@@ -490,7 +475,6 @@ def figure_storm(
     rate: float = 10.0,
     fast: bool = False,
     seed: int = 3,
-    jobs: Optional[int] = None,
 ) -> FigureResult:
     """Failure storm: policies on a cheap-but-revocable spot tier.
 
@@ -503,7 +487,7 @@ def figure_storm(
     """
     period = _FAST_PERIOD if fast else 2 * 3600.0
     scenario = failure_storm_scenario(rate=rate, period=period, seed=seed)
-    rows_raw = sweep([scenario], list(_STORM_POLICIES), jobs=jobs)
+    rows_raw = sweep([scenario], list(_STORM_POLICIES))
     rows = [
         [
             r.policy,
@@ -552,7 +536,6 @@ def figure_tenants(
     n_tenants: int = 64,
     fast: bool = False,
     seed: int = 7,
-    jobs: Optional[int] = None,
 ) -> FigureResult:
     """Multi-tenant contention: admission policies on a shared provider.
 
@@ -563,9 +546,6 @@ def figure_tenants(
     heavy tenants' ideal fleets; the same fleet runs once under
     first-come-first-served admission (``free-for-all``) and once under
     weighted max-min fair-share.
-
-    ``jobs`` is accepted for driver-interface uniformity; the fleet
-    already advances every tenant in one lockstep kernel.
     """
     if fast:
         n_tenants = 16
@@ -633,7 +613,6 @@ def figure_pricing(
     rate: float = 8.0,
     fast: bool = False,
     seed: int = 7,
-    jobs: Optional[int] = None,
 ) -> FigureResult:
     """Cost-model × policy grid: every pricing strategy, three policies.
 
@@ -659,7 +638,7 @@ def figure_pricing(
         )
         for model in BILLING_MODELS
     ]
-    rows_raw = sweep(scenarios, list(_PRICING_POLICIES), jobs=jobs)
+    rows_raw = sweep(scenarios, list(_PRICING_POLICIES))
     rows = [
         [
             r.billing_model,

@@ -354,13 +354,33 @@ class Scenario:
             notice_s=self.spot_notice_s,
         )
 
-    @property
-    def uses_reliability(self) -> bool:
-        """True when any failure/recovery machinery is active."""
-        return (
-            self.mtbf_hours is not None
-            or self.spot_mtbf_hours is not None
-            or self.checkpoint_interval is not None
+    def manager(
+        self,
+        policy_name: str,
+        policy: Optional[Policy] = None,
+        provider: Optional[CloudProvider] = None,
+    ) -> RunManager:
+        """The :class:`RunManager` that runs ``policy_name`` on this scenario.
+
+        ``policy`` replaces the named policy (a custom heuristic) and
+        ``provider`` the fresh private provider (a fleet passes each
+        tenant's view of its shared cloud).
+        """
+        if policy is None:
+            policy = self.policy(policy_name)
+        return RunManager(
+            dataflow=self.dataflow,
+            profiles=self.profiles(),
+            policy=policy,
+            provider=provider if provider is not None else self.provider(),
+            spec=self.spec,
+            tick=self.tick,
+            message_size_mb=MESSAGE_SIZE_MB,
+            failures=self.failures(),
+            revocations=self.revocations(),
+            checkpoint_interval=self.checkpoint_interval,
+            restore_latency=self.restore_latency,
+            hedge_horizon=self.hedge_horizon,
         )
 
     def fingerprint(self) -> dict:
@@ -576,23 +596,5 @@ def run_policy(
     policy_factory: Optional[Callable[[Scenario], Policy]] = None,
 ) -> RunResult:
     """Run one policy on one scenario and return its results."""
-    policy = (
-        policy_factory(scenario)
-        if policy_factory is not None
-        else scenario.policy(policy_name)
-    )
-    manager = RunManager(
-        dataflow=scenario.dataflow,
-        profiles=scenario.profiles(),
-        policy=policy,
-        provider=scenario.provider(),
-        spec=scenario.spec,
-        tick=scenario.tick,
-        message_size_mb=MESSAGE_SIZE_MB,
-        failures=scenario.failures(),
-        revocations=scenario.revocations(),
-        checkpoint_interval=scenario.checkpoint_interval,
-        restore_latency=scenario.restore_latency,
-        hedge_horizon=scenario.hedge_horizon,
-    )
-    return manager.run()
+    policy = policy_factory(scenario) if policy_factory is not None else None
+    return scenario.manager(policy_name, policy=policy).run()

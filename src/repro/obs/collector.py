@@ -12,7 +12,12 @@ current sim time pass it explicitly (``emit(..., t=now)``); sites that
 don't can rely on the clock the simulation kernel binds at
 :class:`~repro.sim.kernel.Environment` construction (see
 :func:`bind_clock`).  The collector is process-local, like the perf
-counters; each parallel-sweep worker records its own trace.
+counters.
+
+Live sinks (:func:`add_sink`) receive events as they are emitted.  An
+attached sink makes call sites emit even while tracing is off, but only
+enabled tracing buffers events in memory, so a long-lived stream does
+not grow the process.
 
 Usage::
 
@@ -66,27 +71,37 @@ _clock: Optional[Callable[[], float]] = None
 _tenant: int = 0
 
 #: Live subscribers (S29 serve daemon streaming): each registered
-#: callable receives every event as it is emitted, in addition to the
-#: in-memory buffer.  Sink errors are swallowed — a slow or dead
-#: streaming client must never take the simulation down.
+#: callable receives every event as it is emitted.  Sink errors are
+#: swallowed — a slow or dead streaming client must never take the
+#: simulation down.
 _sinks: list[Callable[[TraceEvent], None]] = []
+
+#: The flag call sites test: tracing is on or some sink is attached.
+_emitting: bool = _enabled
+
+
+def _refresh() -> None:
+    global _emitting
+    _emitting = _enabled or bool(_sinks)
 
 
 def enable() -> None:
     """Turn event tracing on for this process."""
     global _enabled
     _enabled = True
+    _refresh()
 
 
 def disable() -> None:
     """Turn event tracing off (recorded events are kept)."""
     global _enabled
     _enabled = False
+    _refresh()
 
 
 def enabled() -> bool:
-    """Whether the collector is currently recording."""
-    return _enabled
+    """Whether events are emitted: tracing is on or a sink is attached."""
+    return _emitting
 
 
 def bind_clock(clock: Optional[Callable[[], float]]) -> None:
@@ -139,7 +154,9 @@ def emit(
     tenant_id: Optional[int] = None,
     **payload: Any,
 ) -> None:
-    """Record one event (no-op while disabled).
+    """Record one event and hand it to the sinks (no-op while disabled).
+
+    The event is buffered only while tracing is enabled.
 
     Parameters
     ----------
@@ -153,7 +170,7 @@ def emit(
     payload:
         Flat JSON-serializable details.
     """
-    if not _enabled:
+    if not _emitting:
         return
     global _seq
     event = TraceEvent(
@@ -163,7 +180,8 @@ def emit(
         payload=payload,
         tenant_id=_tenant if tenant_id is None else int(tenant_id),
     )
-    _events.append(event)
+    if _enabled:
+        _events.append(event)
     _seq += 1
     for sink in tuple(_sinks):
         try:
@@ -180,6 +198,7 @@ def add_sink(sink: Callable[[TraceEvent], None]) -> None:
     emitting thread, so it should only enqueue, never block."""
     if sink not in _sinks:
         _sinks.append(sink)
+    _refresh()
 
 
 def remove_sink(sink: Callable[[TraceEvent], None]) -> None:
@@ -188,6 +207,7 @@ def remove_sink(sink: Callable[[TraceEvent], None]) -> None:
         _sinks.remove(sink)
     except ValueError:
         pass
+    _refresh()
 
 
 def events() -> tuple[TraceEvent, ...]:

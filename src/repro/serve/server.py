@@ -66,17 +66,17 @@ def _env_float(name: str, default: float) -> float:
 class _Broadcast:
     """Fans trace events to connected ``/events`` streamers.
 
-    Tracing is force-enabled while at least one streamer is attached
-    (and restored afterwards), so watching a live run needs no ambient
-    ``REPRO_TRACE``.  Each subscriber gets a bounded queue; a slow
-    reader drops events rather than stalling the simulation thread.
+    While at least one streamer is attached the hub is a collector
+    sink, so watching a live run needs no ambient ``REPRO_TRACE``, and
+    the streamed events are not buffered in the collector unless
+    tracing is on.  Each subscriber gets a bounded queue; a slow reader
+    drops events rather than stalling the simulation thread.
     """
 
     def __init__(self, depth: int = 4096) -> None:
         self._depth = depth
         self._subs: list[queue.Queue] = []
         self._lock = threading.Lock()
-        self._was_tracing = False
 
     def _fan(self, event) -> None:
         with self._lock:
@@ -90,12 +90,9 @@ class _Broadcast:
     def attach(self) -> queue.Queue:
         q: queue.Queue = queue.Queue(maxsize=self._depth)
         with self._lock:
-            first = not self._subs
-            self._subs.append(q)
-            if first:
-                self._was_tracing = _trace.enabled()
+            if not self._subs:
                 _trace.add_sink(self._fan)
-                _trace.enable()
+            self._subs.append(q)
         return q
 
     def detach(self, q: queue.Queue) -> None:
@@ -106,8 +103,6 @@ class _Broadcast:
                 return
             if not self._subs:
                 _trace.remove_sink(self._fan)
-                if not self._was_tracing:
-                    _trace.disable()
 
     def streamers(self) -> int:
         with self._lock:
@@ -116,6 +111,9 @@ class _Broadcast:
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    # Keep-alive clients otherwise stall ~40 ms per request on Nagle's
+    # algorithm meeting the client's delayed ACK.
+    disable_nagle_algorithm = True
     daemon: "ServeDaemon"  # bound by ServeDaemon via a subclass
 
     # -- plumbing -------------------------------------------------------------

@@ -16,8 +16,7 @@ Usage::
     perf.add("engine.ticks")
     print(perf.snapshot())
 
-Counters and timers are process-local; the parallel sweep harness
-aggregates per-worker snapshots into its own report.
+Counters and timers are process-local.
 """
 
 from __future__ import annotations

@@ -33,12 +33,6 @@ def isolated_rows(mt):
     ]
 
 
-@pytest.fixture
-def force_soa(monkeypatch):
-    """Route TenantFleet.run through the SoA kernel regardless of env."""
-    monkeypatch.setattr(invariants, "_enabled", False)
-
-
 class TestBitIdentityOracle:
     def test_uncontended_fleet_matches_isolated_runs(self):
         mt = multi_tenant_scenario(
@@ -66,19 +60,42 @@ class TestBitIdentityOracle:
             r.identity() for r in isolated_rows(mt)
         ]
 
-    def test_soa_and_serial_modes_agree(self):
+    def test_soa_and_serial_modes_agree(self, monkeypatch):
+        """The checker runs on the SoA kernel itself: a validated fleet
+        stays in SoA mode, equals the unchecked fleet, and both equal
+        each tenant's serial isolated run."""
         mt = multi_tenant_scenario(
             n_tenants=3, period=300.0, capacity_tightness=None
         )
         with invariants.checking():
-            serial = build_fleet(mt).run()
-        assert serial.mode == "serial"
-        other = build_fleet(mt).run()
-        assert [r.identity() for r in other.rows] == [
-            r.identity() for r in serial.rows
+            checked = build_fleet(mt).run()
+        assert checked.mode == "soa"
+        monkeypatch.setattr(invariants, "_enabled", False)
+        assert build_fleet(mt).run().rows == checked.rows
+        assert [r.identity() for r in checked.rows] == [
+            r.identity() for r in isolated_rows(mt)
         ]
 
-    def test_soa_mode_selected_when_possible(self, force_soa):
+    def test_contended_fair_share_fleet_validated_on_soa(self, monkeypatch):
+        """Contention is where a serial stand-in diverges: a validated
+        16-tenant fair-share fleet runs SoA and matches the unchecked
+        fleet row for row."""
+        mt = multi_tenant_scenario(
+            n_tenants=16,
+            admission="fair-share",
+            capacity_tightness=0.5,
+            rate_kind="wave",
+            variability="both",
+            period=300.0,
+        )
+        with invariants.checking():
+            checked = run_fleet(mt)
+        assert checked.mode == "soa"
+        assert checked.denied_total > 0
+        monkeypatch.setattr(invariants, "_enabled", False)
+        assert run_fleet(mt).rows == checked.rows
+
+    def test_soa_mode_selected_when_possible(self):
         mt = multi_tenant_scenario(
             n_tenants=2, period=300.0, capacity_tightness=None
         )

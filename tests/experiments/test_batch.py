@@ -1,11 +1,12 @@
-"""Batched sweep execution (experiments.batch + engine.batch, S25).
+"""Batched sweep execution (engine.batch behind runner.run_cells, S25).
 
 The batch engine's contract is *bit-identity*: every row it produces
-must equal the serial sweep's row exactly (dataclass equality compares
+must equal the serial engine's row exactly (dataclass equality compares
 floats bitwise).  These tests pin that contract across variability
 modes, policies, heterogeneous topologies and cache interleavings, and
-pin the harness routing (REPRO_BATCH gating, validation fallback,
-failure-cell fallback).
+pin the sweep routing: the width rule (a clock group of two or more
+cells batches, a lone cell runs serially), the shared cache gate,
+reliability cells on the serial engine, and validation on the batch.
 """
 
 from __future__ import annotations
@@ -17,14 +18,12 @@ import pytest
 from hypothesis import given, settings
 
 from repro.engine.batch import BatchRunner
-from repro.experiments import Scenario, sweep
-from repro.experiments import batch as batch_mod
+from repro.experiments import Scenario, runner, sweep
 from repro.experiments import cache
-from repro.experiments.batch import _build_manager
-from repro.experiments.runner import SweepRow
+from repro.experiments.runner import SweepRow, run_cells
 from repro.experiments.scenarios import run_policy, scaled_dataflow
 from repro.util import perf
-from repro.validate import invariants as _validate
+from repro.validate import invariants
 
 FIG8_POLICIES = ["global", "global-nodyn", "local", "local-nodyn"]
 
@@ -45,7 +44,7 @@ def serial_rows(scenarios, policies) -> list[SweepRow]:
 
 def batch_rows(scenarios, policies) -> list[SweepRow]:
     cells = [(s, p) for s in scenarios for p in policies]
-    managers = [_build_manager(s, p) for s, p in cells]
+    managers = [s.manager(p) for s, p in cells]
     results = BatchRunner(
         managers, rate_keys=[id(s) for s, _p in cells]
     ).run()
@@ -109,18 +108,27 @@ class TestBitIdentity:
 class TestBatchRunnerContract:
     def test_rejects_mixed_clock_grids(self):
         managers = [
-            _build_manager(quick_scenario(period=300.0), "local"),
-            _build_manager(quick_scenario(period=600.0), "local"),
+            quick_scenario(period=300.0).manager("local"),
+            quick_scenario(period=600.0).manager("local"),
         ]
         with pytest.raises(ValueError, match="interval"):
             BatchRunner(managers)
 
     def test_rejects_failure_cells(self):
-        manager = _build_manager(
-            quick_scenario(mtbf_hours=0.05), "local"
-        )
+        manager = quick_scenario(mtbf_hours=0.05).manager("local")
         with pytest.raises(ValueError, match="failure"):
             BatchRunner([manager])
+
+    def test_rejects_spot_and_checkpoint_cells(self):
+        """Scenario.manager carries revocations and checkpointing, which
+        the batch cannot run: it must refuse them, not drop them."""
+        for overrides in (
+            {"spot_mtbf_hours": 0.5},
+            {"checkpoint_interval": 60.0},
+        ):
+            manager = quick_scenario(**overrides).manager("local")
+            with pytest.raises(ValueError, match="serially"):
+                BatchRunner([manager])
 
     def test_rejects_empty_batch(self):
         with pytest.raises(ValueError):
@@ -129,9 +137,11 @@ class TestBatchRunnerContract:
 
 class TestSweepRouting:
     @pytest.fixture(autouse=True)
-    def _batch_on(self, monkeypatch):
-        monkeypatch.setattr(batch_mod, "_enabled", True)
+    def _cache_on(self, monkeypatch):
+        # Validated cells bypass the cache by design; the warm-path
+        # assertions below scope an ambient REPRO_VALIDATE=1 off.
         monkeypatch.setattr(cache, "_enabled", True)
+        monkeypatch.setattr(invariants, "_enabled", False)
         perf.reset()
         yield
         perf.reset()
@@ -144,14 +154,36 @@ class TestSweepRouting:
         assert counters.get("batch.cells") == 4
         assert rows == serial_rows(scenarios, ["local", "static-local"])
 
+    def test_one_cell_group_never_builds_a_batch(self, monkeypatch):
+        """Width rule: a lone cell per clock runs on the serial engine,
+        and a two-cell group runs in one batch."""
+        built = []
+
+        class CountingRunner(BatchRunner):
+            def __init__(self, managers, **kwargs):
+                built.append(len(managers))
+                super().__init__(managers, **kwargs)
+
+        monkeypatch.setattr(runner, "BatchRunner", CountingRunner)
+        lone = quick_scenario(rate=2.0, period=600.0)
+        pair = quick_scenario(rate=2.0)
+        with perf.collecting():
+            rows = run_cells(
+                [(lone, "local"), (pair, "local"), (pair, "static-local")]
+            )
+            counters = perf.snapshot()["counters"]
+        assert built == [2]
+        assert counters.get("batch.cells") == 2
+        assert rows == serial_rows([lone], ["local"]) + serial_rows(
+            [pair], ["local", "static-local"]
+        )
+
     def test_mid_sweep_cache_hits_are_served_not_recomputed(self):
         """Pre-cached cells are hits; the batch computes only misses,
         and the assembled rows still match the fully serial grid."""
         scenarios = [quick_scenario(rate=r) for r in (2.0, 4.0, 6.0)]
-        # Warm exactly one scenario's cells through the serial path.
-        batch_mod.disable()
+        # Warm exactly one scenario's cell (a lone cell: serial engine).
         warmed = sweep([scenarios[1]], ["local"])
-        batch_mod.enable()
         with perf.collecting():
             rows = sweep(scenarios, ["local"])
             counters = perf.snapshot()["counters"]
@@ -161,54 +193,68 @@ class TestSweepRouting:
         assert rows == serial_rows(scenarios, ["local"])
 
     def test_batch_rows_are_stored_as_cache_entries(self):
-        scenarios = [quick_scenario(rate=2.0)]
-        sweep(scenarios, ["local"])
-        key = cache.cache_key(scenarios[0], "local")
-        assert cache.lookup(key) is not None
-        # A later serial sweep hits on the batch-produced entry.
-        batch_mod.disable()
+        scenario = quick_scenario(rate=2.0)
+        policies = ["local", "static-local"]
         with perf.collecting():
-            again = sweep(scenarios, ["local"])
+            sweep([scenario], policies)
+            assert perf.snapshot()["counters"].get("batch.cells") == 2
+        key = cache.cache_key(scenario, "local")
+        assert cache.lookup(key) is not None
+        # A later one-cell run (serial engine) hits on the batch entry.
+        with perf.collecting():
+            again = run_cells([(scenario, "local")])
             counters = perf.snapshot()["counters"]
         assert counters.get("cache.hits") == 1
         assert again == [cache.lookup(key)]
 
+    def test_delta_variants_answered_without_simulation(self):
+        """Billing variants of a cached static-local base come from the
+        delta index, not the batch, and equal their cold rows."""
+        run_cells([(quick_scenario(), "static-local")])
+        variants = [
+            quick_scenario(billing_model=model)
+            for model in ("reserved", "per_second")
+        ]
+        with perf.collecting():
+            rows = sweep(variants, ["static-local"])
+            counters = perf.snapshot()["counters"]
+        assert counters.get("cache.delta_hits") == 2
+        assert counters.get("batch.cells", 0) == 0
+        assert rows == serial_rows(variants, ["static-local"])
+
     def test_failure_cells_fall_back_to_serial(self):
         scenario = quick_scenario(rate=2.0, mtbf_hours=0.05)
-        rows = sweep([scenario], ["local"])
-        assert rows == serial_rows([scenario], ["local"])
-
-    def test_validation_bypasses_batch_and_cache(self, monkeypatch):
-        """REPRO_VALIDATE=1 must route every cell serially (the hooks
-        only exist there) and must not store unvalidated batch rows."""
-        monkeypatch.setattr(_validate, "_enabled", True)
-        scenarios = [quick_scenario(rate=2.0)]
+        policies = ["local", "static-local"]
         with perf.collecting():
-            rows = sweep(scenarios, ["static-local"])
+            rows = sweep([scenario], policies)
             counters = perf.snapshot()["counters"]
         assert counters.get("batch.cells", 0) == 0
+        assert rows == serial_rows([scenario], policies)
+
+    def test_validated_grid_runs_the_batch_stores_nothing(self):
+        """Under the invariant checker the grid still takes the batch
+        (its hooks run on every column), stores nothing — a cached row
+        would skip the checks — and equals the unchecked rows."""
+        scenarios = [quick_scenario(rate=2.0)]
+        policies = ["local", "static-local"]
+        with invariants.checking(), perf.collecting():
+            rows = sweep(scenarios, policies)
+            counters = perf.snapshot()["counters"]
+        assert counters.get("batch.cells") == 2
         assert cache.stats()["entries"] == 0
-        monkeypatch.setattr(_validate, "_enabled", False)
-        assert rows == serial_rows(scenarios, ["static-local"])
-
-    def test_disabled_env_keeps_serial_path(self, monkeypatch):
-        monkeypatch.setattr(batch_mod, "_enabled", False)
-        scenarios = [quick_scenario(rate=2.0)]
-        with perf.collecting():
-            sweep(scenarios, ["static-local"])
-            counters = perf.snapshot()["counters"]
-        assert counters.get("batch.cells", 0) == 0
+        assert rows == serial_rows(scenarios, policies)
 
     def test_mixed_clock_grid_forms_separate_batches(self):
         scenarios = [
             quick_scenario(rate=2.0, period=300.0),
             quick_scenario(rate=2.0, period=600.0),
         ]
+        policies = ["local", "static-local"]
         with perf.collecting():
-            rows = sweep(scenarios, ["local"])
+            rows = sweep(scenarios, policies)
             counters = perf.snapshot()["counters"]
         assert counters.get("batch.groups") == 2
-        assert rows == serial_rows(scenarios, ["local"])
+        assert rows == serial_rows(scenarios, policies)
 
 
 class TestRunResultParity:
@@ -217,7 +263,7 @@ class TestRunResultParity:
         of the batch RunResult match the serial run exactly."""
         scenario = quick_scenario(rate=4.0)
         serial = run_policy(scenario, "global")
-        batched = BatchRunner([_build_manager(scenario, "global")]).run()[0]
+        batched = BatchRunner([scenario.manager("global")]).run()[0]
         assert batched.outcome == serial.outcome
         assert batched.vms_peak == serial.vms_peak
         assert batched.adaptations == serial.adaptations

@@ -220,13 +220,63 @@ class TestStreaming:
         kinds = {e["type"] for e in events}
         assert kinds & {"cache_miss", "vm_provisioned", "run_started"}
         assert all("seq" in e and "t" in e for e in events)
-        # Tracing was force-enabled for the stream, then restored.
+        # Emitting followed the stream; once it detached the flag is
+        # back to the ambient tracing state.
         assert daemon.broadcast.streamers() == 0
         assert _trace.enabled() == was_tracing
 
     def test_stream_timeout_closes_with_no_events(self, daemon):
         streamer = ServeClient(daemon.url)
         assert list(streamer.stream_events(timeout_s=0.3)) == []
+
+    def test_attached_stream_does_not_grow_the_collector(self, daemon, client):
+        """Streamed events reach the client without piling up in the
+        collector's buffer while tracing is off."""
+        tracing = _trace.enabled()
+        _trace.disable()
+        events: list[dict] = []
+
+        def stream():
+            events.extend(ServeClient(daemon.url).stream_events(timeout_s=3))
+
+        t = threading.Thread(target=stream)
+        t.start()
+        try:
+            for _ in range(200):
+                if daemon.broadcast.streamers() > 0:
+                    break
+                threading.Event().wait(0.01)
+            before = len(_trace.events())
+            for i in range(50):
+                client.run(dict(SCENARIO, seed=20 + i % 5))
+            assert daemon.broadcast.streamers() == 1
+            assert len(_trace.events()) == before
+        finally:
+            t.join(20)
+            if tracing:
+                _trace.enable()
+        assert len(events) >= 50
+
+
+class TestKeepAlive:
+    def test_keep_alive_requests_do_not_stall(self, daemon):
+        """20 requests on one keep-alive connection: without TCP_NODELAY
+        each response waits on the client's delayed ACK (~40 ms)."""
+        import http.client
+        import time
+
+        conn = http.client.HTTPConnection(daemon.host, daemon.port, timeout=10)
+        try:
+            t0 = time.perf_counter()
+            for _ in range(20):
+                conn.request("GET", "/healthz")
+                resp = conn.getresponse()
+                resp.read()
+                assert resp.status == 200
+            elapsed = time.perf_counter() - t0
+        finally:
+            conn.close()
+        assert elapsed < 0.5, f"20 keep-alive requests took {elapsed:.2f} s"
 
 
 class TestIsolation:

@@ -86,6 +86,35 @@ def test_negative_queue_caught_at_next_tick():
     assert exc.details["pe"] == "E1"
 
 
+def test_negative_buffer_in_one_batch_column_caught_at_next_tick():
+    """The batch engine carries the same per-tick hook: a negative
+    holding buffer poked into one column of a two-cell batch is caught
+    within one tick, at the same site as on the serial engine."""
+    from repro.engine.batch import BatchRunner
+    from repro.experiments.scenarios import Scenario
+
+    scenario = Scenario(rate=4.0, period=300.0, seed=3)
+    runner = BatchRunner(
+        [scenario.manager("local"), scenario.manager("static-local")],
+        macrostep=False,
+    )
+    step = runner._phases
+
+    def poked(pack, t, dt):
+        if t == 10.0:
+            pack.cols[1].ex._unhosted["E1"] = -3.0
+        return step(pack, t, dt)
+
+    runner._phases = poked
+    with invariants.checking():
+        with pytest.raises(invariants.InvariantViolation) as exc_info:
+            runner.run()
+    exc = exc_info.value
+    assert exc.site == "engine.executor.queue"
+    assert 10.0 <= exc.t <= 11.0
+    assert exc.details["pe"] == "E1"
+
+
 def test_double_registered_instance_is_double_billing():
     catalog = aws_2013_catalog()
     provider = CloudProvider(catalog)
