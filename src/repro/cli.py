@@ -49,15 +49,10 @@ Service-mode knobs (``repro serve``; flags take precedence):
 ``REPRO_SERVE_QUEUE``
     Bounded submission queue depth; a full queue is answered with
     ``429`` + ``Retry-After`` (default 32).
-``REPRO_SERVE_RECYCLE``
-    Cells a worker executes before being gracefully recycled
-    (default 256).
 ``REPRO_SERVE_LRU``
     In-memory serving LRU capacity in entries (default 512).
 ``REPRO_SERVE_TIMEOUT_S``
     Per-request wait bound on cold cells (default 600).
-``REPRO_FP_TTL_S``
-    Seconds between code-fingerprint freshness re-stats (default 2).
 """
 
 from __future__ import annotations
@@ -231,9 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_p.add_argument("--queue", type=int, default=None, metavar="N",
                          help="bounded cold queue depth; overflow is 429 "
                               "(default: REPRO_SERVE_QUEUE)")
-    serve_p.add_argument("--recycle", type=int, default=None, metavar="N",
-                         help="cells per worker before graceful recycling "
-                              "(default: REPRO_SERVE_RECYCLE)")
     serve_p.add_argument("--lru", type=int, default=None, metavar="N",
                          help="serving-LRU capacity in entries "
                               "(default: REPRO_SERVE_LRU)")
@@ -460,15 +452,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         port=args.port,
         workers=args.workers,
         queue_depth=args.queue,
-        recycle_after=args.recycle,
         lru_capacity=args.lru,
         verbose=args.verbose,
     )
     pool = daemon.pool.stats()
     print(
         f"repro serve: listening on {daemon.url} "
-        f"({pool['workers']} workers, queue {pool['queue_depth']}, "
-        f"recycle after {pool['recycle_after']} cells)",
+        f"({pool['workers']} workers, queue {pool['queue_depth']})",
         flush=True,
     )
     try:

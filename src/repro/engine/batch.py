@@ -30,9 +30,12 @@ The mechanics that make that possible:
   network refresh, fleets with zero VMs) run per cell through the
   *same* :class:`~repro.engine.executor.FluidExecutor` helpers, which
   read and write stacked state through per-cell array views,
-* interval boundaries replay the exact statement order of
-  :meth:`RunManager.run` per cell (roll, record, snapshot, adapt,
-  reconcile), with the cell's private clock pinned to the boundary.
+* the run lifecycle is not replayed but shared: each cell deploys
+  through :meth:`RunManager.begin`, each interval boundary pins the
+  cell's private clock and calls :meth:`RunManager.close_interval`
+  (roll, record, snapshot, adapt, reconcile), and
+  :meth:`RunManager.result` builds the cell's result — the very steps
+  :meth:`RunManager.run` drives from the kernel clock.
 
 Macro-stepping (S24) is evaluated column-wise: each cell's own
 :meth:`~repro.engine.executor.FluidExecutor._macro_change_cap` bounds
@@ -58,39 +61,41 @@ from typing import Hashable, Optional, Sequence
 
 import numpy as np
 
-from ..core.objective import EvaluationOutcome
-from ..dataflow.metrics import IntervalMetrics, MetricsTimeline
 from ..obs import collector as _obs
-from ..sim.kernel import Environment
 from ..util import perf
 from ..validate import invariants as _validate
-from .executor import _EPS, FluidExecutor, _macro_default, _seqsum
-from .manager import RunManager, RunResult, vm_ledger
-from .monitor import Monitor
-from .reconcile import apply_plan
+from .executor import _EPS, _macro_default, _seqsum
+from .manager import RunManager, RunResult, RunState
+# Unused here (the run lifecycle reconciles through ``repro.engine.manager``),
+# but ``benchmarks/suite/spans.py`` patches this name, so it must resolve.
+from .reconcile import apply_plan  # noqa: F401
 
 __all__ = ["BatchRunner"]
 
 
-class _CellState:
-    """One sweep cell's private run state (mirrors RunManager.run locals)."""
+class _Cell:
+    """One sweep cell: its :class:`RunState` plus SoA bookkeeping."""
 
     __slots__ = (
-        "manager", "env", "ex", "monitor", "timeline", "selection",
-        "omega_sum", "adaptations", "peak", "reports", "rate_key",
-        "group", "col", "P", "V", "E", "I", "O", "input_names",
-        "backoff", "last_deliv",
+        "manager", "run", "env", "ex", "rate_key", "input_names",
+        "group", "col", "P", "V", "E", "I", "O", "backoff", "last_deliv",
     )
 
-    def __init__(self, manager: RunManager, rate_key: Hashable) -> None:
+    def __init__(
+        self, manager: RunManager, run: RunState, rate_key: Hashable
+    ) -> None:
         self.manager = manager
+        self.run = run
+        self.env = run.env
+        self.ex = run.executor
         self.rate_key = rate_key
-        self.timeline = MetricsTimeline()
-        self.omega_sum = 0.0
-        self.adaptations = 0
-        self.reports: list = []
+        self.input_names = tuple(manager.dataflow.inputs)
         self.backoff = -math.inf
         self.last_deliv: Optional[np.ndarray] = None
+        # The batch drives the clock itself, so no tick process starts:
+        # open the checker's ledger here instead of in executor.start().
+        if _validate.enabled():
+            _validate.checker().register_executor(self.ex)
 
 
 class _RateGroup:
@@ -101,7 +106,7 @@ class _RateGroup:
     def __init__(self, profiles: list) -> None:
         self.profiles = profiles
         self.cols: list[int] = []
-        self.v0: list[_CellState] = []
+        self.v0: list[_Cell] = []
         self.vals: list[float] = []
 
 
@@ -146,11 +151,10 @@ class _Pack:
 
     __slots__ = (
         "cols", "v0", "states", "C", "Pmax", "Vmax", "Emax", "Imax",
-        "Omax", "tick", "cidx", "alloc", "backlog", "egress", "budget",
+        "Omax", "tick", "alloc", "backlog", "egress", "budget",
         "core_speed", "ready_time", "cost", "selectivity", "gain_simple",
-        "gain_col", "edge_dst", "edge_src", "edge_factors", "edge_flat",
-        "input_pe", "in_flat", "output_idx", "acc_ext", "acc_deliv",
-        "acc_arr", "acc_proc", "acc_del", "rate_groups",
+        "gain_col", "edge_factors", "edge_flat", "in_flat", "acc_ext",
+        "acc_deliv", "acc_arr", "acc_proc", "acc_del", "rate_groups",
         "coef_groups", "coef_scalar", "mig_watch", "unhosted_watch",
         "gate_at", "input_pe_flat", "edge_dst_flat", "edge_src_flat",
         "output_flat", "in_flat_ravel", "refresh_at", "next_refresh",
@@ -229,16 +233,16 @@ class BatchRunner:
     # -- driving --------------------------------------------------------------
 
     def run(self) -> list[RunResult]:
-        """Execute every cell's full optimization period."""
+        """Execute every cell's full optimization period: the manager's
+        lifecycle steps per cell around one vectorized tick loop."""
         states = []
         for m, key in zip(self.managers, self._rate_keys):
             with self._cell_ctx(m):
-                states.append(self._init_cell(m, key))
+                states.append(_Cell(m, m.begin(macrostep=False), key))
         spec = self.managers[0].spec
         tick = float(self.managers[0].tick)
-        n = spec.n_intervals
         t = 0.0
-        for k in range(1, n + 1):
+        for k in range(1, spec.n_intervals + 1):
             b = k * spec.interval
             pack = self._pack(states, tick)
             while t <= b:
@@ -246,10 +250,11 @@ class BatchRunner:
             for st in states:
                 self._copy_out(pack, st)
             for st in states:
+                st.env._now = b
                 with self._cell_ctx(st.manager):
-                    self._boundary(st, k, b, n)
+                    st.manager.close_interval(st.run, k)
             self._after_boundaries(k, b)
-        return [self._finish(st) for st in states]
+        return [st.manager.result(st.run) for st in states]
 
     def _cell_ctx(self, m: RunManager):
         """Trace-attribution context for one cell's serial work (init,
@@ -266,46 +271,9 @@ class BatchRunner:
         The base batch runner needs nothing here; multi-tenant kernels
         override it to sample shared-fleet state once per interval."""
 
-    def _init_cell(self, m: RunManager, rate_key: Hashable) -> _CellState:
-        """Mirror RunManager.run's preamble (no kernel process is started:
-        the batch drives time directly, so the executor never ticks on
-        its own and the cell's Environment is just a clock + trace id)."""
-        st = _CellState(m, rate_key)
-        env = Environment()
-        with perf.timer("policy.initial_plan"):
-            plan = m.policy.initial_plan(m.estimated_rates)
-        ex = FluidExecutor(
-            env,
-            m.dataflow,
-            m.provider,
-            m.profiles,
-            selection=plan.selection,
-            tick=m.tick,
-            message_size_mb=m.message_size_mb,
-            macrostep=False,
-        )
-        monitor = Monitor(
-            m.dataflow,
-            m.provider,
-            ex,
-            noise_std=m.monitor_noise_std,
-            seed=m.monitor_seed,
-        )
-        st.reports = [apply_plan(m.provider, ex, plan, env.now)]
-        RunManager._trace_reconcile(st.reports[0], env.now, interval=0)
-        if _validate.enabled():
-            _validate.checker().register_executor(ex)
-        st.env = env
-        st.ex = ex
-        st.monitor = monitor
-        st.selection = dict(plan.selection)
-        st.peak = len(m.provider.active_instances())
-        st.input_names = tuple(m.dataflow.inputs)
-        return st
-
     # -- packing --------------------------------------------------------------
 
-    def _pack(self, states: list[_CellState], tick: float) -> _Pack:
+    def _pack(self, states: list[_Cell], tick: float) -> _Pack:
         """Stack per-cell state into (C, …) arrays and alias the cells'
         mutable buffers to per-cell views, so the scalar helpers
         (_deposit, unhosted drains, _refresh_network) write through.
@@ -317,9 +285,11 @@ class BatchRunner:
         object identity is the change signal.  When the column layout is
         unchanged, the previous epoch's pack is reused and only the
         changed cells re-gather; with thousands of mostly-steady tenants
-        this turns the per-boundary O(cells) stacking into O(changes)."""
-        cols: list[_CellState] = []
-        v0: list[_CellState] = []
+        this turns the per-boundary O(cells) stacking into O(changes).
+        The unchanged cells' buffers are views into the pack, so their
+        live state is already in place."""
+        cols: list[_Cell] = []
+        v0: list[_Cell] = []
         for st in states:
             ex = st.ex
             st.P, st.V = ex._alloc.shape
@@ -346,26 +316,52 @@ class BatchRunner:
             for st in cols
         )
         cached = self._pack_reuse
-        if (
-            cached is not None
-            and cached[0] == layout
-            and cached[3] == tick
-        ):
+        if cached is not None and cached[0] == layout and cached[3] == tick:
             pack = cached[2]
             changed = [
                 c for c in range(len(cols)) if sigs[c] != cached[1][c]
             ]
-            self._refresh_pack(pack, cols, changed)
-            self._pack_reuse = (layout, sigs, pack, tick)
-            return pack
+            # The interval accumulators restart from zero, as every
+            # executor's did in roll_interval at the boundary just crossed.
+            for acc in (pack.acc_ext, pack.acc_deliv, pack.acc_arr,
+                        pack.acc_proc, pack.acc_del):
+                acc.fill(0.0)
+            if perf.enabled():
+                perf.add("batch.pack_reuses")
+                perf.add("batch.pack_cells_refreshed", len(changed))
+        else:
+            pack = self._new_pack(states, cols, v0, tick)
+            changed = list(range(len(cols)))
+        for c in changed:
+            self._load_column(pack, c, cols[c])
+        if changed:
+            self._pack_coefs(pack, cols)
+        pack.gate_at = max(st.backoff for st in states)
+        pack.mig_watch = {st.col for st in cols if st.ex._migrating}
+        pack.unhosted_watch = {st.col for st in cols if st.ex._unhosted}
+        # Per-cell network refresh deadlines, mirrored out of the
+        # executors so the per-tick check is one scalar comparison.
+        pack.refresh_at = np.array([st.ex._next_net_refresh for st in cols])
+        pack.next_refresh = float(pack.refresh_at.min(initial=np.inf))
+        if perf.enabled():
+            perf.add("batch.packs")
+            perf.add("batch.columns", len(states))
+        self._pack_reuse = (layout, sigs, pack, tick)
+        return pack
 
+    def _new_pack(
+        self, states: list[_Cell], cols: list[_Cell], v0: list[_Cell],
+        tick: float,
+    ) -> _Pack:
+        """A pack for a new column layout: rate groups and padded arrays
+        (the interval accumulators start at zero, like every executor's
+        at a fresh start or after roll_interval)."""
         pack = _Pack()
         pack.states = states
         pack.tick = tick
         pack.cols = cols
         pack.v0 = v0
-        C = len(cols)
-        pack.C = C
+        C = pack.C = len(cols)
 
         groups: dict[Hashable, _RateGroup] = {}
         pack.rate_groups = []
@@ -383,26 +379,11 @@ class BatchRunner:
                 grp.v0.append(st)
             st.group = grp
 
-        pack.gate_at = max(st.backoff for st in states)
-        pack.mig_watch = {st.col for st in cols if st.ex._migrating}
-        pack.unhosted_watch = {st.col for st in cols if st.ex._unhosted}
-        if perf.enabled():
-            perf.add("batch.packs")
-            perf.add("batch.columns", len(states))
-
         Pmax = pack.Pmax = max((st.P for st in cols), default=0)
         Vmax = pack.Vmax = max((st.V for st in cols), default=0)
         Emax = pack.Emax = max((st.E for st in cols), default=0)
         Imax = pack.Imax = max((st.I for st in cols), default=0)
         Omax = pack.Omax = max((st.O for st in cols), default=0)
-        if C == 0:
-            # Every cell is fleetless this interval: keep the arrays the
-            # snapshot/jump machinery touches, empty.
-            pack.backlog = np.zeros((0, 0, 0))
-            pack.egress = np.zeros((0, 0, 0))
-            return pack
-
-        pack.cidx = np.arange(C)
         pack.alloc = np.zeros((C, Pmax, Vmax))
         pack.backlog = np.zeros((C, Pmax, Vmax))
         pack.egress = np.zeros((C, Emax, Vmax))
@@ -412,19 +393,20 @@ class BatchRunner:
         pack.cost = np.ones((C, Pmax, 1))
         pack.selectivity = np.zeros((C, Pmax, 1))
         pack.edge_factors = np.zeros((C, Emax, 1))
-        # Gather indices pad with 0 (the gathered values are masked);
-        # scatter indices pad with the cell's dummy arrival row Pmax,
-        # whose accumulated garbage is never read.
-        pack.edge_dst = np.zeros((C, Emax), dtype=np.intp)
-        pack.edge_src = np.zeros((C, Emax), dtype=np.intp)
-        pack.edge_flat = np.full(
-            (C, Emax), Pmax, dtype=np.intp
-        ) + (pack.cidx * (Pmax + 1))[:, None]
-        pack.input_pe = np.zeros((C, Imax), dtype=np.intp)
-        pack.in_flat = np.full(
-            (C, Imax), Pmax, dtype=np.intp
-        ) + (pack.cidx * (Pmax + 1))[:, None]
-        pack.output_idx = np.zeros((C, Omax), dtype=np.intp)
+        # PE indices are flattened rows: one fancy index into a
+        # ``(C·Pmax, Vmax)`` view beats a two-array advanced index.
+        # Gather rows pad with the cell's first row (the gathered values
+        # are masked); scatter rows pad with the cell's dummy arrival row
+        # (row Pmax of its ``Pmax + 1``), whose garbage is never read.
+        gather = np.arange(C)[:, None] * Pmax
+        dummy = np.arange(C)[:, None] * (Pmax + 1) + Pmax
+        pack.input_pe_flat = np.repeat(gather, Imax, axis=1)
+        pack.edge_dst_flat = np.repeat(gather, Emax, axis=1)
+        pack.edge_src_flat = np.repeat(gather, Emax, axis=1)
+        pack.output_flat = np.repeat(gather, Omax, axis=1)
+        pack.edge_flat = np.repeat(dummy, Emax, axis=1)
+        pack.in_flat = np.repeat(dummy, Imax, axis=1)
+        pack.in_flat_ravel = pack.in_flat.reshape(-1)  # a view
         pack.acc_ext = np.zeros((C, Imax))
         pack.acc_deliv = np.zeros((C, Omax))
         pack.acc_arr = np.zeros((C, Pmax))
@@ -432,56 +414,9 @@ class BatchRunner:
         pack.acc_del = np.zeros((C, Omax))
         pack.gain_simple = all(st.I == 1 for st in cols)
         pack.gain_col = np.zeros((C, Omax)) if pack.gain_simple else None
-
-        for c, st in enumerate(cols):
-            ex = st.ex
-            P, V, E = st.P, st.V, st.E
-            pack.alloc[c, :P, :V] = ex._alloc
-            pack.backlog[c, :P, :V] = ex._backlog
-            ex._backlog = pack.backlog[c, :P, :V]
-            pack.egress[c, :E, :V] = ex._egress
-            ex._egress = pack.egress[c, :E, :V]
-            pack.budget[c, :E, :V] = ex._remote_budget
-            ex._remote_budget = pack.budget[c, :E, :V]
-            pack.core_speed[c, :V] = ex._core_speed
-            pack.ready_time[c, :V] = ex._ready_time
-            pack.cost[c, :P, 0] = ex._cost
-            pack.selectivity[c, :P, 0] = ex._selectivity
-            pack.edge_factors[c, :E, 0] = ex._edge_factors
-            pack.edge_dst[c, :E] = ex._edge_dst
-            pack.edge_src[c, :E] = ex._edge_src
-            pack.edge_flat[c, :E] = c * (Pmax + 1) + ex._edge_dst
-            pack.input_pe[c, :st.I] = ex._input_idx
-            pack.in_flat[c, :st.I] = c * (Pmax + 1) + ex._input_idx
-            pack.output_idx[c, :st.O] = ex._output_idx
-            pack.acc_ext[c, :st.I] = ex._acc_external
-            pack.acc_deliv[c, :st.O] = ex._acc_deliverable
-            pack.acc_arr[c, :P] = ex._acc_arrivals
-            pack.acc_proc[c, :P] = ex._acc_processed
-            pack.acc_del[c, :st.O] = ex._acc_delivered
-            if pack.gain_simple:
-                pack.gain_col[c, :st.O] = ex._gain[:, 0]
-
-        self._pack_coefs(pack, cols)
-
-        # Flattened-row gather indices: one fancy index into a
-        # ``(C·Pmax, Vmax)`` view beats a two-array advanced index.
-        row0 = (pack.cidx * Pmax)[:, None]
-        pack.input_pe_flat = row0 + pack.input_pe
-        pack.edge_dst_flat = row0 + pack.edge_dst
-        pack.edge_src_flat = row0 + pack.edge_src
-        pack.output_flat = row0 + pack.output_idx
-        pack.in_flat_ravel = pack.in_flat.ravel()
-        # Per-cell network refresh deadlines, mirrored out of the
-        # executors so the per-tick check is one scalar comparison.
-        pack.refresh_at = np.array(
-            [st.ex._next_net_refresh for st in cols]
-        )
-        pack.next_refresh = float(pack.refresh_at.min())
-        self._pack_reuse = (layout, sigs, pack, tick)
         return pack
 
-    def _pack_coefs(self, pack: _Pack, cols: list[_CellState]) -> None:
+    def _pack_coefs(self, pack: _Pack, cols: list[_Cell]) -> None:
         """Group the cells' CPU-trace stacks for the batched gather.
 
         The concatenated trace stacks are pure functions of the member
@@ -530,69 +465,47 @@ class BatchRunner:
             ]
             self._coef_cache = (coef_key, pack.coef_groups, pins)
 
-    def _refresh_pack(
-        self, pack: _Pack, cols: list[_CellState], changed: list[int]
-    ) -> None:
-        """Bring last epoch's pack up to date for reuse.
+    def _load_column(self, pack: _Pack, c: int, st: _Cell) -> None:
+        """Copy one cell's executor rows into column ``c`` and alias its
+        mutable buffers (backlog, egress, network budget) to views of
+        the column, so the per-cell helpers write through."""
+        ex = st.ex
+        P, V, E, I, O = st.P, st.V, st.E, st.I, st.O
+        # Copy the buffers before resetting the column's planes: on a
+        # reused pack they may be views of these very planes.
+        backlog = np.array(ex._backlog)
+        egress = np.array(ex._egress)
+        budget = np.array(ex._remote_budget)
+        for plane, pad in (
+            (pack.alloc, 0.0), (pack.backlog, 0.0), (pack.egress, 0.0),
+            (pack.budget, np.inf), (pack.core_speed, 0.0),
+            (pack.ready_time, np.inf),
+        ):
+            plane[c].fill(pad)
+        pack.alloc[c, :P, :V] = ex._alloc
+        pack.backlog[c, :P, :V] = backlog
+        ex._backlog = pack.backlog[c, :P, :V]
+        pack.egress[c, :E, :V] = egress
+        ex._egress = pack.egress[c, :E, :V]
+        pack.budget[c, :E, :V] = budget
+        ex._remote_budget = pack.budget[c, :E, :V]
+        pack.core_speed[c, :V] = ex._core_speed
+        pack.ready_time[c, :V] = ex._ready_time
+        pack.cost[c, :P, 0] = ex._cost
+        pack.selectivity[c, :P, 0] = ex._selectivity
+        if pack.gain_simple:
+            pack.gain_col[c, :O] = ex._gain[:, 0]
+        # Topology rows (static per executor).
+        gather, scatter = c * pack.Pmax, c * (pack.Pmax + 1)
+        pack.edge_factors[c, :E, 0] = ex._edge_factors
+        pack.input_pe_flat[c, :I] = gather + ex._input_idx
+        pack.edge_dst_flat[c, :E] = gather + ex._edge_dst
+        pack.edge_src_flat[c, :E] = gather + ex._edge_src
+        pack.output_flat[c, :O] = gather + ex._output_idx
+        pack.edge_flat[c, :E] = scatter + ex._edge_dst
+        pack.in_flat[c, :I] = scatter + ex._input_idx
 
-        The unchanged cells' backlog/egress/budget buffers are aliased
-        views into the pack, so their live state is already here; their
-        static rows (alloc, speeds, topology gathers) are still valid by
-        the identity argument in :meth:`_pack`.  Only the per-epoch
-        scalars, the freshly-reset interval accumulators, and the
-        ``changed`` cells' rows need work."""
-        pack.gate_at = max(st.backoff for st in pack.states)
-        pack.mig_watch = {st.col for st in cols if st.ex._migrating}
-        pack.unhosted_watch = {st.col for st in cols if st.ex._unhosted}
-        # roll_interval reset every executor's accumulators to zeros at
-        # the boundary we just crossed; mirror that wholesale.
-        pack.acc_ext.fill(0.0)
-        pack.acc_deliv.fill(0.0)
-        pack.acc_arr.fill(0.0)
-        pack.acc_proc.fill(0.0)
-        pack.acc_del.fill(0.0)
-        for c in changed:
-            st = cols[c]
-            ex = st.ex
-            P, V, E = st.P, st.V, st.E
-            # Snapshot the buffers before zeroing the cell's planes: a
-            # selection-only change leaves them aliased to these very
-            # planes, and fill() would wipe the live state.
-            backlog = np.array(ex._backlog)
-            egress = np.array(ex._egress)
-            budget = np.array(ex._remote_budget)
-            pack.alloc[c].fill(0.0)
-            pack.alloc[c, :P, :V] = ex._alloc
-            pack.backlog[c].fill(0.0)
-            pack.backlog[c, :P, :V] = backlog
-            ex._backlog = pack.backlog[c, :P, :V]
-            pack.egress[c].fill(0.0)
-            pack.egress[c, :E, :V] = egress
-            ex._egress = pack.egress[c, :E, :V]
-            pack.budget[c].fill(np.inf)
-            pack.budget[c, :E, :V] = budget
-            ex._remote_budget = pack.budget[c, :E, :V]
-            pack.core_speed[c].fill(0.0)
-            pack.core_speed[c, :V] = ex._core_speed
-            pack.ready_time[c].fill(np.inf)
-            pack.ready_time[c, :V] = ex._ready_time
-            pack.cost[c, :P, 0] = ex._cost
-            pack.selectivity[c, :P, 0] = ex._selectivity
-            if pack.gain_simple:
-                pack.gain_col[c, :st.O] = ex._gain[:, 0]
-        if changed:
-            self._pack_coefs(pack, cols)
-        pack.refresh_at = np.array(
-            [st.ex._next_net_refresh for st in cols]
-        )
-        pack.next_refresh = float(pack.refresh_at.min())
-        if perf.enabled():
-            perf.add("batch.packs")
-            perf.add("batch.pack_reuses")
-            perf.add("batch.columns", len(pack.states))
-            perf.add("batch.pack_cells_refreshed", len(changed))
-
-    def _copy_out(self, pack: _Pack, st: _CellState) -> None:
+    def _copy_out(self, pack: _Pack, st: _Cell) -> None:
         """Write a cell's stacked accumulators back into its executor
         (the backlog/egress/budget buffers are views — already live)."""
         if st.col < 0:
@@ -908,56 +821,4 @@ class BatchRunner:
         return _TickRecord(
             ext_add, deliv_inc, arr_inc, proc_inc, del_inc,
             arr_real, cap_msgs, served,
-        )
-
-    # -- interval boundaries --------------------------------------------------
-
-    def _boundary(self, st: _CellState, k: int, b: float, n: int) -> None:
-        """Replay RunManager.run's per-interval body for one cell."""
-        m = st.manager
-        st.env._now = b
-        ex = st.ex
-        stats = ex.roll_interval()
-        omega_k = stats.omega(m.dataflow.outputs)
-        st.omega_sum += omega_k
-        st.timeline.record(
-            IntervalMetrics(
-                t=stats.start,
-                value=m.dataflow.application_value(st.selection),
-                throughput=omega_k,
-                cumulative_cost=m.provider.cost_at(st.env.now),
-                delivered=sum(stats.delivered.values()),
-                deliverable=sum(stats.deliverable.values()),
-            )
-        )
-        if m.policy.adaptive and k < n:
-            snap = st.monitor.snapshot(
-                stats, st.selection, st.omega_sum / k, st.env.now
-            )
-            with perf.timer("policy.adapt"):
-                new_plan = m.policy.adapt(snap, k)
-            if new_plan is not None:
-                perf.add("policy.adaptations")
-                report = apply_plan(m.provider, ex, new_plan, st.env.now)
-                RunManager._trace_reconcile(report, st.env.now, interval=k)
-                st.reports.append(report)
-                if report.changed or dict(new_plan.selection) != st.selection:
-                    st.adaptations += 1
-                st.selection = dict(new_plan.selection)
-        st.peak = max(st.peak, len(m.provider.active_instances()))
-
-    def _finish(self, st: _CellState) -> RunResult:
-        m = st.manager
-        return RunResult(
-            policy_name=m.policy.name,
-            spec=m.spec,
-            timeline=st.timeline,
-            outcome=EvaluationOutcome.from_timeline(st.timeline, m.spec),
-            vms_provisioned=len(m.provider.all_instances()),
-            vms_peak=st.peak,
-            adaptations=st.adaptations,
-            final_selection=st.selection,
-            reports=st.reports,
-            crashes=[],
-            vm_ledger=vm_ledger(m.provider),
         )

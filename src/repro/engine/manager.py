@@ -6,13 +6,20 @@ estimated rates, runs the fluid executor interval by interval, feeds
 monitored snapshots to the policy's runtime adaptation, reconciles each
 returned plan, and records the §6 metrics.  The result carries everything
 the evaluation figures need.
+
+The control loop is three steps — :meth:`RunManager.begin`,
+:meth:`RunManager.close_interval` and :meth:`RunManager.result` — over
+one :class:`RunState`.  :meth:`RunManager.run` drives them from the
+kernel clock; the batch engine (:mod:`repro.engine.batch`) calls the
+same steps per column, so serial runs, SoA sweeps and tenant fleets
+share one interval body.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 from ..cloud.failures import FailureModel, SpotRevocationModel
 from ..cloud.provider import CloudProvider
@@ -29,7 +36,7 @@ from .failures import CrashRecord, FailureDriver, FailureOracle
 from .monitor import Monitor
 from .reconcile import ReconcileReport, apply_plan
 
-__all__ = ["RunManager", "RunResult", "vm_ledger"]
+__all__ = ["RunManager", "RunResult", "RunState", "vm_ledger"]
 
 
 @dataclass
@@ -78,6 +85,26 @@ class RunResult:
 
     def summary(self) -> str:
         return f"[{self.policy_name}] {self.outcome}"
+
+
+@dataclass(eq=False)
+class RunState:
+    """One run's live state, from :meth:`RunManager.begin` to
+    :meth:`RunManager.result`."""
+
+    env: Environment
+    executor: FluidExecutor
+    monitor: Monitor
+    #: Alternate selection in force (updated on every adaptation).
+    selection: dict[str, str]
+    #: Reconciliation reports (index 0 = initial deployment).
+    reports: list[ReconcileReport]
+    #: Peak simultaneously active VMs so far.
+    peak: int
+    timeline: MetricsTimeline = field(default_factory=MetricsTimeline)
+    #: Σ Ω over the closed intervals (the snapshot's running mean).
+    omega_sum: float = 0.0
+    adaptations: int = 0
 
 
 def vm_ledger(provider: CloudProvider) -> list[list]:
@@ -190,22 +217,30 @@ class RunManager:
             or self.checkpoint_interval is not None
         )
 
-    @staticmethod
-    def _trace_reconcile(
-        report, now: float, interval: int, tenant_id: Optional[int] = None
-    ) -> None:
+    def _faults(
+        self,
+    ) -> tuple[Optional[FailureModel], Optional[SpotRevocationModel]]:
+        """The enabled failure and revocation models (``None`` if off)."""
+        failures, revocations = self.failures, self.revocations
+        return (
+            failures if failures is not None and failures.enabled else None,
+            revocations
+            if revocations is not None and revocations.enabled
+            else None,
+        )
+
+    def _trace_reconcile(self, report, now: float, interval: int) -> None:
         """Emit an allocation_changed event for a non-empty reconciliation.
 
-        ``tenant_id=None`` defers to the collector's ambient tenant, so
-        single-tenant runs stay on tenant 0 and multi-tenant fleets stamp
-        the owner from either the provider view or the surrounding
-        :func:`repro.obs.collector.tenant` context.
+        The provider view's tenant stamps the event; plain providers
+        (``tenant_id=None``) defer to the collector's ambient tenant, so
+        single-tenant runs stay on tenant 0.
         """
         if _trace.enabled() and report.changed:
             _trace.emit(
                 "allocation_changed",
                 t=now,
-                tenant_id=tenant_id,
+                tenant_id=getattr(self.provider, "tenant_id", None),
                 interval=interval,
                 provisioned=len(report.provisioned),
                 terminated=len(report.terminated),
@@ -213,13 +248,41 @@ class RunManager:
                 cores_released=report.cores_released,
             )
 
+    # -- the run lifecycle: begin → close_interval(k) for k = 1..n → result ----
+
     def run(self) -> RunResult:
         """Execute the full optimization period and return the results."""
-        spec = self.spec
+        state = self.begin()
+        state.executor.start()
+        failures, revocations = self._faults()
+        failure_driver: Optional[FailureDriver] = None
+        if failures is not None or revocations is not None:
+            failure_driver = FailureDriver(
+                state.env,
+                self.provider,
+                state.executor,
+                failures,
+                revocations=revocations,
+            )
+            failure_driver.start()
+        for k in range(1, self.spec.n_intervals + 1):
+            state.env.run(until=k * self.spec.interval)
+            self.close_interval(state, k)
+        crashes = failure_driver.crashes if failure_driver else ()
+        return self.result(state, crashes)
+
+    def begin(self, macrostep: Optional[bool] = None) -> RunState:
+        """Deploy: plan from the estimated rates, build the executor and
+        monitor, and apply the initial plan at t = 0.
+
+        No kernel process is started.  :meth:`run` starts the tick
+        process; the batch engine instead drives each executor's clock
+        itself and passes ``macrostep=False`` (it macro-steps across
+        columns, not per executor).
+        """
         env = Environment()
         with perf.timer("policy.initial_plan"):
             plan = self.policy.initial_plan(self.estimated_rates)
-
         executor = FluidExecutor(
             env,
             self.dataflow,
@@ -228,19 +291,11 @@ class RunManager:
             selection=plan.selection,
             tick=self.tick,
             message_size_mb=self.message_size_mb,
+            macrostep=macrostep,
             checkpoint_interval=self.checkpoint_interval,
             restore_latency=self.restore_latency,
         )
-        failures = (
-            self.failures
-            if self.failures is not None and self.failures.enabled
-            else None
-        )
-        revocations = (
-            self.revocations
-            if self.revocations is not None and self.revocations.enabled
-            else None
-        )
+        failures, revocations = self._faults()
         oracle: Optional[FailureOracle] = None
         if failures is not None or revocations is not None:
             oracle = FailureOracle(
@@ -261,7 +316,7 @@ class RunManager:
             # Macro jumps must wake at every time this loop acts on the
             # run: the adaptation interval boundaries and (so cost
             # snapshots always follow a real tick) VM billing-hour edges.
-            interval = float(spec.interval)
+            interval = float(self.spec.interval)
             executor.add_macro_boundary(
                 lambda t: (math.floor(t / interval) + 1.0) * interval
             )
@@ -281,76 +336,72 @@ class RunManager:
 
             executor.add_macro_boundary(_billing_edges)
 
-        tenant_id = getattr(self.provider, "tenant_id", None)
-        reports = [apply_plan(self.provider, executor, plan, env.now)]
-        self._trace_reconcile(reports[0], env.now, interval=0, tenant_id=tenant_id)
-        executor.start()
+        report = apply_plan(self.provider, executor, plan, env.now)
+        self._trace_reconcile(report, env.now, interval=0)
+        return RunState(
+            env=env,
+            executor=executor,
+            monitor=monitor,
+            selection=dict(plan.selection),
+            reports=[report],
+            peak=len(self.provider.active_instances()),
+        )
 
-        failure_driver: Optional[FailureDriver] = None
-        if failures is not None or revocations is not None:
-            failure_driver = FailureDriver(
-                env,
-                self.provider,
-                executor,
-                failures,
-                revocations=revocations,
+    def close_interval(self, state: RunState, k: int) -> None:
+        """Close adaptation interval ``k`` at ``state.env.now``.
+
+        Rolls the executor's interval stats and records the §6 metrics;
+        an adaptive policy then (except after the last interval) adapts
+        to the monitored snapshot and the returned plan is reconciled.
+        """
+        now = state.env.now
+        stats = state.executor.roll_interval()
+        omega_k = stats.omega(self.dataflow.outputs)
+        state.omega_sum += omega_k
+        state.timeline.record(
+            IntervalMetrics(
+                t=stats.start,
+                value=self.dataflow.application_value(state.selection),
+                throughput=omega_k,
+                cumulative_cost=self.provider.cost_at(now),
+                delivered=sum(stats.delivered.values()),
+                deliverable=sum(stats.deliverable.values()),
             )
-            failure_driver.start()
-
-        timeline = MetricsTimeline()
-        selection = dict(plan.selection)
-        omega_sum = 0.0
-        adaptations = 0
-        peak = len(self.provider.active_instances())
-
-        n = spec.n_intervals
-        for k in range(1, n + 1):
-            env.run(until=k * spec.interval)
-            stats = executor.roll_interval()
-            omega_k = stats.omega(self.dataflow.outputs)
-            omega_sum += omega_k
-            timeline.record(
-                IntervalMetrics(
-                    t=stats.start,
-                    value=self.dataflow.application_value(selection),
-                    throughput=omega_k,
-                    cumulative_cost=self.provider.cost_at(env.now),
-                    delivered=sum(stats.delivered.values()),
-                    deliverable=sum(stats.deliverable.values()),
-                )
+        )
+        if self.policy.adaptive and k < self.spec.n_intervals:
+            snap = state.monitor.snapshot(
+                stats, state.selection, state.omega_sum / k, now
             )
-            if self.policy.adaptive and k < n:
-                snap = monitor.snapshot(stats, selection, omega_sum / k, env.now)
-                with perf.timer("policy.adapt"):
-                    new_plan = self.policy.adapt(snap, k)
-                if new_plan is not None:
-                    perf.add("policy.adaptations")
-                    report = apply_plan(
-                        self.provider, executor, new_plan, env.now
-                    )
-                    self._trace_reconcile(
-                        report, env.now, interval=k, tenant_id=tenant_id
-                    )
-                    reports.append(report)
-                    if report.changed or dict(new_plan.selection) != selection:
-                        adaptations += 1
-                    selection = dict(new_plan.selection)
-            peak = max(peak, len(self.provider.active_instances()))
+            with perf.timer("policy.adapt"):
+                plan = self.policy.adapt(snap, k)
+            if plan is not None:
+                perf.add("policy.adaptations")
+                report = apply_plan(self.provider, state.executor, plan, now)
+                self._trace_reconcile(report, now, interval=k)
+                state.reports.append(report)
+                selection = dict(plan.selection)
+                if report.changed or selection != state.selection:
+                    state.adaptations += 1
+                state.selection = selection
+        state.peak = max(state.peak, len(self.provider.active_instances()))
 
-        outcome = EvaluationOutcome.from_timeline(timeline, spec)
-        crashes = list(failure_driver.crashes) if failure_driver else []
+    def result(
+        self, state: RunState, crashes: Iterable[CrashRecord] = ()
+    ) -> RunResult:
+        """The :class:`RunResult` of a run whose intervals are all closed."""
+        crashes = list(crashes)
         return RunResult(
             policy_name=self.policy.name,
-            spec=spec,
-            timeline=timeline,
-            outcome=outcome,
+            spec=self.spec,
+            timeline=state.timeline,
+            outcome=EvaluationOutcome.from_timeline(state.timeline, self.spec),
             vms_provisioned=len(self.provider.all_instances()),
-            vms_peak=peak,
-            adaptations=adaptations,
-            final_selection=selection,
-            reports=reports,
+            vms_peak=state.peak,
+            adaptations=state.adaptations,
+            final_selection=state.selection,
+            reports=state.reports,
             crashes=crashes,
-            recovery_times=self._recovery_times(crashes, timeline),
+            recovery_times=self._recovery_times(crashes, state.timeline),
             vm_ledger=vm_ledger(self.provider),
         )
 

@@ -27,10 +27,10 @@ double, so a warm run equals a cold run (test-enforced).
 
 S29 adds three warm-path layers in front of the disk entries:
 
-* a **memoized code fingerprint** with mtime invalidation — the ~60
-  source files are hashed once per process and re-stat'ed (not re-read)
-  at most every ``REPRO_FP_TTL_S`` seconds; only an actual mtime/size
-  change re-hashes.  Cost is surfaced via ``cache.fingerprint_ns``.
+* a **code fingerprint hashed once per process** — a process runs the
+  code it imported, so its keys must not follow later edits on disk
+  (a re-keyed daemon would store old-code rows under the new code's
+  key, and a fresh process would serve them as warm hits).
 * a **serving LRU** of deserialized rows keyed by the content hash
   (:func:`enable_serve_tier`; off by default so one-shot CLI semantics
   are unchanged) — a warm hit skips JSON parsing entirely.
@@ -61,17 +61,14 @@ Knobs (resolved per call, so tests can redirect freely):
     Cache directory (default ``.repro-cache`` under the repo root).
 ``REPRO_CACHE_MAX_MB``
     Size cap in MiB before oldest-first eviction (default 64).
-``REPRO_FP_TTL_S``
-    Seconds between code-fingerprint freshness re-stats (default 2).
 ``REPRO_SERVE_LRU``
     Serving-LRU capacity in entries when the tier is enabled
     (default 512; 0 disables the tier even if enabled).
 
 Hits and misses are counted via :mod:`repro.util.perf` (``cache.hits`` /
 ``cache.misses``, plus ``cache.lru_hits`` / ``cache.delta_hits`` /
-``cache.fingerprint_rehash`` / ``cache.manifest_rebuilds``) and emitted
-as ``cache_hit`` / ``cache_miss`` / ``cache_evicted`` trace events via
-:mod:`repro.obs`.
+``cache.manifest_rebuilds``) and emitted as ``cache_hit`` /
+``cache_miss`` / ``cache_evicted`` trace events via :mod:`repro.obs`.
 """
 
 from __future__ import annotations
@@ -128,7 +125,6 @@ SCHEMA = 2
 
 _DEFAULT_DIR_NAME = ".repro-cache"
 _DEFAULT_MAX_MB = 64.0
-_DEFAULT_FP_TTL_S = 2.0
 _DEFAULT_LRU_CAPACITY = 512
 
 _enabled: bool = os.environ.get("REPRO_CACHE", "") not in ("0", "false")
@@ -137,10 +133,8 @@ _enabled: bool = os.environ.get("REPRO_CACHE", "") not in ("0", "false")
 #: directory (the manifest, foreign files) is never treated as an entry.
 _ENTRY_STEM = re.compile(r"^[0-9a-f]{64}$")
 
-#: Memoized code fingerprint plus the stat snapshot it was hashed from.
+#: The code fingerprint, hashed on first use (see code_fingerprint).
 _code_fp: Optional[str] = None
-_code_fp_stat: Optional[tuple] = None
-_code_fp_checked: float = float("-inf")
 
 #: Subpackages whose source a sweep cell executes.  Harness-only layers
 #: (figures, cli, report, obs, util, serve, this module) are excluded:
@@ -252,14 +246,6 @@ def max_bytes() -> int:
     return max(0, int(mb * 1024 * 1024))
 
 
-def _fp_ttl_s() -> float:
-    raw = os.environ.get("REPRO_FP_TTL_S", "").strip()
-    try:
-        return max(0.0, float(raw)) if raw else _DEFAULT_FP_TTL_S
-    except ValueError:
-        return _DEFAULT_FP_TTL_S
-
-
 def _lru_capacity() -> int:
     raw = os.environ.get("REPRO_SERVE_LRU", "").strip()
     try:
@@ -346,46 +332,20 @@ def code_fingerprint() -> str:
 
     Hashed file-by-file (relative path + bytes) in sorted order, so the
     value is stable across hosts and invalidates on any code change in
-    the simulated stack.  Memoized per process with mtime invalidation:
-    within ``REPRO_FP_TTL_S`` of the last check the memo is returned
-    outright; past it the sources are re-stat'ed (cheap) and re-hashed
-    only if some (mtime_ns, size) actually changed — so a long-running
-    server picks up edits without paying ~60 file reads per request.
+    the simulated stack.  Hashed once per process: the process keeps
+    running the code it imported, so an edit on disk must not re-key it.
     """
-    global _code_fp, _code_fp_stat, _code_fp_checked
-    t0 = time.perf_counter_ns()
-    try:
-        now = time.monotonic()
-        if _code_fp is not None and now - _code_fp_checked < _fp_ttl_s():
-            return _code_fp
+    global _code_fp
+    if _code_fp is None:
         pkg_root = Path(__file__).resolve().parents[1]
-        paths = _source_paths()
-        snapshot = []
-        for path in paths:
-            try:
-                st = path.stat()
-            except OSError:
-                continue
-            snapshot.append(
-                (str(path.relative_to(pkg_root)), st.st_mtime_ns, st.st_size)
-            )
-        snap = tuple(snapshot)
-        if _code_fp is not None and snap == _code_fp_stat:
-            _code_fp_checked = now
-            return _code_fp
-        perf.add("cache.fingerprint_rehash")
         digest = hashlib.sha256()
-        for path in paths:
+        for path in _source_paths():
             digest.update(str(path.relative_to(pkg_root)).encode())
             digest.update(b"\0")
             digest.update(path.read_bytes())
             digest.update(b"\0")
         _code_fp = digest.hexdigest()
-        _code_fp_stat = snap
-        _code_fp_checked = now
-        return _code_fp
-    finally:
-        perf.add("cache.fingerprint_ns", time.perf_counter_ns() - t0)
+    return _code_fp
 
 
 def cache_key(scenario: Scenario, policy_name: str) -> str:
@@ -831,7 +791,7 @@ def _bypass(scenario: Scenario) -> bool:
 
 
 def serve_lookup(
-    scenario: Scenario, policy_name: str
+    scenario: Scenario, policy_name: str, key: Optional[str] = None
 ) -> Optional[tuple[SweepRow, str]]:
     """Warm-path lookup: serving LRU → disk entry → delta index.
 
@@ -839,11 +799,13 @@ def serve_lookup(
     ``"delta"``; ``None`` means the cell is cold (or bypassed) and must
     be simulated.  Delta-derived rows are materialized as full entries
     (inheriting the base ledger), so the next identical request is a
-    plain warm hit.
+    plain warm hit.  ``key`` is the cell's :func:`cache_key`, for
+    callers that already hashed it (hashing costs tens of µs).
     """
     if _bypass(scenario):
         return None
-    key = cache_key(scenario, policy_name)
+    if key is None:
+        key = cache_key(scenario, policy_name)
     if _serve_lru is not None:
         row = _serve_lru.get(key)
         if row is not None:
@@ -906,11 +868,11 @@ def gate(
         if _bypass(scenario):
             misses.append((i, None))
             continue
-        warm = serve_lookup(scenario, policy_name)
+        key = cache_key(scenario, policy_name)
+        warm = serve_lookup(scenario, policy_name, key)
         if warm is not None:
             rows[i] = warm[0]
             continue
-        key = cache_key(scenario, policy_name)
         perf.add("cache.misses")
         _trace.emit("cache_miss", t=0.0, key=key, policy=policy_name)
         misses.append((i, key))

@@ -46,7 +46,7 @@ def run_cells(
     entry → delta index); the rest are simulated by :func:`_simulate`
     and stored.  This is also the in-process twin of one serve-daemon
     request: the code fingerprint in every cache key is hashed once per
-    process and re-checked by a TTL'd stat.
+    process, and each cell's key is hashed once.
     """
     from . import cache
 

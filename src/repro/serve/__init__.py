@@ -13,10 +13,7 @@ one.  ``repro serve`` boots a long-running local HTTP daemon
   backpressure — a full queue is a ``429`` with ``Retry-After``, never
   an unbounded pile-up,
 * streams the observability trace live over a chunked
-  ``GET /events`` endpoint while runs are in flight,
-* recycles worker threads after a configurable number of cells, so a
-  leak in any single cell's run can never accumulate for the life of
-  the daemon.
+  ``GET /events`` endpoint while runs are in flight.
 
 Requests are isolated by construction: every submission builds a fresh
 :class:`~repro.experiments.scenarios.Scenario`, every run gets its own

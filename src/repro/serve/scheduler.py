@@ -1,4 +1,4 @@
-"""Bounded worker pool with explicit backpressure and graceful recycling.
+"""Bounded worker pool with explicit backpressure.
 
 Cold cells are CPU-bound simulations taking seconds; an unbounded
 thread-per-request server would accept work it can never finish and die
@@ -9,11 +9,7 @@ by pile-up.  The pool instead has
   queue and the workers are saturated, :meth:`WorkerPool.submit` raises
   :class:`QueueFull` immediately and the server turns it into a 429
   with a ``Retry-After`` hint — load shedding is part of the contract,
-  not an accident,
-* **graceful recycling**: after ``REPRO_SERVE_RECYCLE`` cells a worker
-  finishes its current job, exits, and is replaced by a fresh thread,
-  so per-thread accumulation (caches, allocator fragmentation, a leak
-  in any cell) is bounded for the life of the daemon.
+  not an accident.
 
 Jobs are plain callables; the pool never looks inside them.  A finished
 job carries either a result or the raised exception — workers themselves
@@ -33,7 +29,6 @@ __all__ = ["Job", "QueueFull", "WorkerPool"]
 
 _DEFAULT_WORKERS = max(1, min(4, (os.cpu_count() or 2) - 1))
 _DEFAULT_QUEUE_DEPTH = 32
-_DEFAULT_RECYCLE_AFTER = 256
 
 
 class QueueFull(RuntimeError):
@@ -86,13 +81,12 @@ def _env_int(name: str, default: int) -> int:
 
 
 class WorkerPool:
-    """Fixed-size thread pool over a bounded queue, with recycling."""
+    """Fixed-size thread pool over a bounded queue."""
 
     def __init__(
         self,
         workers: Optional[int] = None,
         queue_depth: Optional[int] = None,
-        recycle_after: Optional[int] = None,
     ) -> None:
         self.workers = (
             workers
@@ -104,40 +98,24 @@ class WorkerPool:
             if queue_depth is not None
             else _env_int("REPRO_SERVE_QUEUE", _DEFAULT_QUEUE_DEPTH)
         )
-        self.recycle_after = (
-            recycle_after
-            if recycle_after is not None
-            else _env_int("REPRO_SERVE_RECYCLE", _DEFAULT_RECYCLE_AFTER)
-        )
         self._q: "queue.Queue[Optional[Job]]" = queue.Queue(
             maxsize=self.queue_depth
         )
         self._lock = threading.Lock()
-        self._threads: list[threading.Thread] = []
-        self._generation = 0
         self._executed = 0
-        self._recycled = 0
         self._closed = False
-        for _ in range(self.workers):
-            self._spawn()
+        self._threads = [
+            threading.Thread(
+                target=self._work, name=f"repro-serve-worker-{i}", daemon=True
+            )
+            for i in range(1, self.workers + 1)
+        ]
+        for t in self._threads:
+            t.start()
 
     # -- lifecycle ------------------------------------------------------------
 
-    def _spawn(self) -> None:
-        with self._lock:
-            if self._closed:
-                return
-            self._generation += 1
-            t = threading.Thread(
-                target=self._work,
-                name=f"repro-serve-worker-{self._generation}",
-                daemon=True,
-            )
-            self._threads.append(t)
-        t.start()
-
     def _work(self) -> None:
-        served = 0
         while True:
             job = self._q.get()
             if job is None:  # shutdown pill
@@ -147,16 +125,6 @@ class WorkerPool:
             self._q.task_done()
             with self._lock:
                 self._executed += 1
-            served += 1
-            if served >= self.recycle_after:
-                # Graceful recycling: finish the cell, hand the slot to
-                # a fresh thread, exit.  No job is ever abandoned.
-                with self._lock:
-                    self._recycled += 1
-                perf.add("serve.worker_recycled")
-                if not self._closed:
-                    self._spawn()
-                break
         with self._lock:
             self._threads = [
                 t for t in self._threads if t is not threading.current_thread()
@@ -201,6 +169,4 @@ class WorkerPool:
                 "queue_depth": self.queue_depth,
                 "pending": self.pending(),
                 "executed": self._executed,
-                "recycled": self._recycled,
-                "recycle_after": self.recycle_after,
             }

@@ -193,15 +193,16 @@ class _Handler(BaseHTTPRequestHandler):
         scenario, policies = parse_run_request(self._read_body())
 
         results = []
-        cold: list[tuple[str, object]] = []
+        cold: list[tuple[str, str, object]] = []
         for policy in policies:
-            warm = cache.serve_lookup(scenario, policy)
+            key = cache.cache_key(scenario, policy)
+            warm = cache.serve_lookup(scenario, policy, key)
             if warm is not None:
                 row, tier = warm
                 daemon.count("warm_rows")
                 if tier == "delta":
                     daemon.count("delta_rows")
-                results.append((policy, row, tier))
+                results.append((policy, key, row, tier))
             else:
                 # QueueFull propagates → 429 for the whole request; jobs
                 # already queued still run and warm the cache for the
@@ -209,11 +210,11 @@ class _Handler(BaseHTTPRequestHandler):
                 job = daemon.pool.submit(
                     lambda s=scenario, p=policy: cache.run_cell(s, p)
                 )
-                cold.append((policy, job))
-        for policy, job in cold:
+                cold.append((policy, key, job))
+        for policy, key, job in cold:
             row = job.result(timeout=daemon.cold_timeout_s)
             daemon.count("cold_rows")
-            results.append((policy, row, "cold"))
+            results.append((policy, key, row, "cold"))
 
         order = {p: i for i, p in enumerate(policies)}
         results.sort(key=lambda r: order[r[0]])
@@ -224,10 +225,10 @@ class _Handler(BaseHTTPRequestHandler):
                     {
                         "policy": policy,
                         "tier": tier,
-                        "key": cache.cache_key(scenario, policy),
+                        "key": key,
                         "row": row_payload(row),
                     }
-                    for policy, row, tier in results
+                    for policy, key, row, tier in results
                 ],
                 "elapsed_ms": (time.perf_counter() - t0) * 1e3,
             },
@@ -295,23 +296,21 @@ class ServeDaemon:
         port: int = 0,
         workers: Optional[int] = None,
         queue_depth: Optional[int] = None,
-        recycle_after: Optional[int] = None,
         lru_capacity: Optional[int] = None,
         cold_timeout_s: Optional[float] = None,
         verbose: bool = False,
     ) -> None:
         cache.enable_serve_tier(lru_capacity)
+        # Key every row by the code this process imported, not by
+        # whatever is on disk at its first request.
+        cache.code_fingerprint()
         self.verbose = verbose
         self.cold_timeout_s = (
             cold_timeout_s
             if cold_timeout_s is not None
             else _env_float("REPRO_SERVE_TIMEOUT_S", _DEFAULT_COLD_TIMEOUT_S)
         )
-        self.pool = WorkerPool(
-            workers=workers,
-            queue_depth=queue_depth,
-            recycle_after=recycle_after,
-        )
+        self.pool = WorkerPool(workers=workers, queue_depth=queue_depth)
         self.broadcast = _Broadcast()
         self._counters: dict[str, int] = {}
         self._counters_lock = threading.Lock()

@@ -429,39 +429,29 @@ class TestDeltaServing:
         assert row2 == row
 
 
-class TestFingerprintMemo:
-    def test_second_call_within_ttl_skips_restat(self, monkeypatch):
+class TestFingerprintOncePerProcess:
+    def test_edit_on_disk_keeps_the_process_fingerprint(
+        self, tmp_path, monkeypatch
+    ):
+        """A process keeps running the code it imported, so an edit to a
+        fingerprinted file must not re-key it: a re-keyed daemon would
+        store old-code rows under the new code's key, and a fresh
+        process would serve them as warm hits."""
+        pkg = tmp_path / "repro"
+        files = [
+            pkg / sub / "module.py" for sub in cache._FINGERPRINTED_PACKAGES
+        ] + [pkg / rel for rel in cache._FINGERPRINTED_MODULES]
+        for path in files:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text("VALUE = 1\n")
+        # Point the fingerprint at the temporary tree and hash it afresh.
+        monkeypatch.setattr(
+            cache, "__file__", str(pkg / "experiments" / "cache.py")
+        )
         monkeypatch.setattr(cache, "_code_fp", None)
-        monkeypatch.setattr(cache, "_code_fp_stat", None)
-        monkeypatch.setattr(cache, "_code_fp_checked", float("-inf"))
-        with perf.collecting():
-            first = cache.code_fingerprint()
-            second = cache.code_fingerprint()
-            counters = perf.snapshot()["counters"]
-        assert first == second
-        assert counters["cache.fingerprint_rehash"] == 1
-        assert counters["cache.fingerprint_ns"] > 0
-
-    def test_past_ttl_restat_without_change_skips_rehash(self, monkeypatch):
-        fp = cache.code_fingerprint()
-        # Expire the TTL without touching any source file: the re-stat
-        # sees an identical snapshot and must not re-read ~60 files.
-        monkeypatch.setattr(cache, "_code_fp_checked", float("-inf"))
-        with perf.collecting():
-            assert cache.code_fingerprint() == fp
-            counters = perf.snapshot()["counters"]
-        assert counters.get("cache.fingerprint_rehash", 0) == 0
-
-    def test_stat_snapshot_change_forces_rehash(self, monkeypatch):
-        fp = cache.code_fingerprint()
-        monkeypatch.setattr(cache, "_code_fp_checked", float("-inf"))
-        monkeypatch.setattr(cache, "_code_fp_stat", ("stale",))
-        with perf.collecting():
-            # Bytes are unchanged, so the digest comes back identical —
-            # an mtime-only touch rehashes but never invalidates.
-            assert cache.code_fingerprint() == fp
-            counters = perf.snapshot()["counters"]
-        assert counters["cache.fingerprint_rehash"] == 1
+        first = cache.code_fingerprint()
+        files[0].write_text("VALUE = 2  # edited while running\n")
+        assert cache.code_fingerprint() == first
 
 
 class TestManifest:

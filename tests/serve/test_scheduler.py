@@ -1,9 +1,8 @@
-"""Worker pool: backpressure, recycling, error relay (serve.scheduler)."""
+"""Worker pool: backpressure, error relay (serve.scheduler)."""
 
 from __future__ import annotations
 
 import threading
-import time
 
 import pytest
 
@@ -12,7 +11,7 @@ from repro.serve import QueueFull, WorkerPool
 
 @pytest.fixture
 def pool():
-    p = WorkerPool(workers=2, queue_depth=32, recycle_after=1000)
+    p = WorkerPool(workers=2, queue_depth=32)
     yield p
     p.shutdown()
 
@@ -47,7 +46,7 @@ class TestExecution:
 
 class TestBackpressure:
     def test_queue_full_raises_not_blocks(self):
-        pool = WorkerPool(workers=1, queue_depth=2, recycle_after=1000)
+        pool = WorkerPool(workers=1, queue_depth=2)
         gate = threading.Event()
         blocked = [pool.submit(gate.wait)]
         try:
@@ -63,30 +62,7 @@ class TestBackpressure:
             pool.shutdown()
 
     def test_submit_after_shutdown_rejected(self):
-        pool = WorkerPool(workers=1, queue_depth=2, recycle_after=1000)
+        pool = WorkerPool(workers=1, queue_depth=2)
         pool.shutdown()
         with pytest.raises(QueueFull):
             pool.submit(lambda: 1)
-
-
-class TestRecycling:
-    def test_workers_recycle_without_dropping_jobs(self):
-        pool = WorkerPool(workers=2, queue_depth=64, recycle_after=3)
-        try:
-            jobs = [pool.submit(lambda i=i: i) for i in range(20)]
-            assert [j.result(timeout=10) for j in jobs] == list(range(20))
-            deadline = time.monotonic() + 5
-            while time.monotonic() < deadline:
-                stats = pool.stats()
-                if stats["recycled"] >= 2 and stats["alive"] == 2:
-                    break
-                time.sleep(0.02)
-            stats = pool.stats()
-            # Every job ran; recycled workers were replaced 1:1.
-            assert stats["executed"] == 20
-            assert stats["recycled"] >= 2
-            assert stats["alive"] == 2
-            # The refreshed pool still serves.
-            assert pool.submit(lambda: "ok").result(timeout=5) == "ok"
-        finally:
-            pool.shutdown()
