@@ -26,6 +26,10 @@ The mechanics that make that possible:
 * elementwise operations keep the serial operand order and grouping
   (``(units / cost) * dt``, ``(gain · rate) * dt``, …) — identical
   inputs through identical float ops give identical outputs,
+* phase 1 of the tick (coefficients, ready mask, effective speeds,
+  capacities, routing shares) is not mirrored but shared: the pack runs
+  the serial tick's :class:`~repro.engine.executor._SpeedPhase` over
+  its stacked arrays, with the same reuse rule, cleared at every pack,
 * the rare scalar paths (migration release, unhosted holding buffers,
   network refresh, fleets with zero VMs) run per cell through the
   *same* :class:`~repro.engine.executor.FluidExecutor` helpers, which
@@ -64,7 +68,7 @@ import numpy as np
 from ..obs import collector as _obs
 from ..util import perf
 from ..validate import invariants as _validate
-from .executor import _EPS, _macro_default, _seqsum
+from .executor import _EPS, _CoefGroup, _macro_default, _seqsum, _SpeedPhase
 from .manager import RunManager, RunResult, RunState
 # Unused here (the run lifecycle reconciles through ``repro.engine.manager``),
 # but ``benchmarks/suite/spans.py`` patches this name, so it must resolve.
@@ -110,20 +114,6 @@ class _RateGroup:
         self.vals: list[float] = []
 
 
-class _CoefGroup:
-    """Stacked CPU-trace series sharing one (length, resolution)."""
-
-    __slots__ = ("stack", "offsets", "arange", "flat", "res", "length")
-
-    def __init__(self, stack, offsets, flat, res) -> None:
-        self.stack = stack
-        self.offsets = offsets
-        self.arange = np.arange(stack.shape[0])
-        self.flat = flat
-        self.res = res
-        self.length = stack.shape[1]
-
-
 class _TickRecord:
     """One probe tick's increments, replayed verbatim during a jump."""
 
@@ -158,6 +148,7 @@ class _Pack:
         "coef_groups", "coef_scalar", "mig_watch", "unhosted_watch",
         "gate_at", "input_pe_flat", "edge_dst_flat", "edge_src_flat",
         "output_flat", "in_flat_ravel", "refresh_at", "next_refresh",
+        "speed",
     )
 
 
@@ -343,6 +334,8 @@ class BatchRunner:
         # executors so the per-tick check is one scalar comparison.
         pack.refresh_at = np.array([st.ex._next_net_refresh for st in cols])
         pack.next_refresh = float(pack.refresh_at.min(initial=np.inf))
+        # Columns may have changed in place: phase 1 starts afresh.
+        pack.speed = self._speed_phase(pack)
         if perf.enabled():
             perf.add("batch.packs")
             perf.add("batch.columns", len(states))
@@ -419,25 +412,28 @@ class BatchRunner:
     def _pack_coefs(self, pack: _Pack, cols: list[_Cell]) -> None:
         """Group the cells' CPU-trace stacks for the batched gather.
 
-        The concatenated trace stacks are pure functions of the member
-        executors' gather arrays, which only change on a fleet rebuild:
-        reuse the previous epoch's groups while the same stack objects
-        (pinned alive in the cache, so ids cannot be recycled) line up
-        in the same columns."""
+        Each column's stacked group joins the batch group of its (length,
+        resolution); lanes outside it (``pack.coef_scalar`` columns) are
+        filled by the column's executor.  The concatenated trace stacks
+        are pure functions of the member executors' groups, which only
+        change on a fleet rebuild: reuse the previous epoch's groups
+        while the same group objects (pinned alive in the cache, so ids
+        cannot be recycled) line up in the same columns."""
         Vmax = pack.Vmax
         coef_members: dict[tuple[int, float], list[int]] = {}
         pack.coef_scalar = []
         for c, st in enumerate(cols):
-            ex = st.ex
-            if ex._coef_stack is not None and not ex._coef_scalar_idx:
-                key = (ex._coef_stack.shape[1], float(ex._coef_res))
+            g = st.ex._coef_group
+            if g is not None:
+                key = (g.length, float(g.res))
                 coef_members.setdefault(key, []).append(c)
-            elif ex._coef_stack is not None or ex._coef_scalar_idx:
+            if st.ex._coef_scalar_idx:
                 pack.coef_scalar.append(c)
         coef_key = (
             Vmax,
             tuple(
-                (grp_key, tuple((c, id(cols[c].ex._coef_stack)) for c in members))
+                (grp_key, tuple((c, id(cols[c].ex._coef_group))
+                                for c in members))
                 for grp_key, members in coef_members.items()
             ),
         )
@@ -447,23 +443,38 @@ class BatchRunner:
         else:
             pack.coef_groups = []
             for (_L, res), members in coef_members.items():
-                stacks = [cols[c].ex._coef_stack for c in members]
-                offsets = np.concatenate(
-                    [cols[c].ex._coef_offsets for c in members]
-                )
-                flat = np.concatenate(
-                    [c * Vmax + cols[c].ex._coef_rows for c in members]
-                )
+                groups = [cols[c].ex._coef_group for c in members]
+                flat = [c * Vmax + g.flat for c, g in zip(members, groups)]
                 pack.coef_groups.append(
-                    _CoefGroup(np.concatenate(stacks), offsets, flat, res)
+                    _CoefGroup(
+                        np.concatenate([g.stack for g in groups]),
+                        np.concatenate([g.offsets for g in groups]),
+                        np.concatenate(flat),
+                        res,
+                    )
                 )
             pins = [
-                (cols[c].ex._coef_stack, cols[c].ex._coef_offsets,
-                 cols[c].ex._coef_rows)
+                cols[c].ex._coef_group
                 for members in coef_members.values()
                 for c in members
             ]
             self._coef_cache = (coef_key, pack.coef_groups, pins)
+
+    def _speed_phase(self, pack: _Pack) -> _SpeedPhase:
+        """Tick phase 1 over the pack's stacked arrays."""
+        fill = None
+        if pack.coef_scalar:
+            scalar = [(c, pack.cols[c].ex) for c in pack.coef_scalar]
+
+            def fill(coef: np.ndarray, t: float) -> None:
+                for c, ex in scalar:
+                    ex._fill_coefficients(coef[c], t)
+
+        return _SpeedPhase(
+            pack.alloc, pack.core_speed, pack.ready_time, pack.cost,
+            pack.coef_groups, fill, pack.edge_dst_flat, pack.input_pe_flat,
+            "batch.speed_recomputes",
+        )
 
     def _load_column(self, pack: _Pack, c: int, st: _Cell) -> None:
         """Copy one cell's executor rows into column ``c`` and alias its
@@ -491,13 +502,13 @@ class BatchRunner:
         ex._remote_budget = pack.budget[c, :E, :V]
         pack.core_speed[c, :V] = ex._core_speed
         pack.ready_time[c, :V] = ex._ready_time
-        pack.cost[c, :P, 0] = ex._cost
-        pack.selectivity[c, :P, 0] = ex._selectivity
+        pack.cost[c, :P] = ex._cost
+        pack.selectivity[c, :P] = ex._selectivity
         if pack.gain_simple:
             pack.gain_col[c, :O] = ex._gain[:, 0]
         # Topology rows (static per executor).
         gather, scatter = c * pack.Pmax, c * (pack.Pmax + 1)
-        pack.edge_factors[c, :E, 0] = ex._edge_factors
+        pack.edge_factors[c, :E] = ex._edge_factors
         pack.input_pe_flat[c, :I] = gather + ex._input_idx
         pack.edge_dst_flat[c, :E] = gather + ex._edge_dst
         pack.edge_src_flat[c, :E] = gather + ex._edge_src
@@ -683,32 +694,12 @@ class BatchRunner:
                 if not ex._migrating:
                     pack.mig_watch.discard(c)
 
-        # 1. current effective speeds.
-        coef = np.ones((C, Vmax))
-        for grp in pack.coef_groups:
-            pos = (grp.offsets + int(t / grp.res)) % grp.length
-            coef.reshape(-1)[grp.flat] = grp.stack[grp.arange, pos]
-        for c in pack.coef_scalar:
-            st = pack.cols[c]
-            coef[c, :st.V] = st.ex._coefficients(t)
-        ready = pack.ready_time <= t
-        np.multiply(pack.core_speed, coef, out=coef)
-        np.multiply(coef, ready, out=coef)
-        eff_speed = coef
-        units = pack.alloc * eff_speed[:, None, :]
-        unit_sums = _seqsum(units)
-        cap_msgs = units / pack.cost * dt
-        shares = np.zeros_like(units)
-        live = unit_sums > _EPS
-        np.divide(units, unit_sums[:, :, None], out=shares,
-                  where=live[:, :, None])
-        if not live.all():
-            alloc_sums = _seqsum(pack.alloc)
-            fallback = (~live) & (alloc_sums > 0)
-            if fallback.any():
-                np.divide(pack.alloc, alloc_sums[:, :, None], out=shares,
-                          where=fallback[:, :, None])
-        share_sums = _seqsum(shares)
+        # 1. effective speeds, capacities and routing shares: the serial
+        # tick's phase 1 over the stacked arrays, recomputed only when
+        # one of its inputs changed.
+        sp = pack.speed
+        sp.update(t, dt)
+        shares, share_sums = sp.shares, sp.share_sums
 
         # Arrivals carry one extra dummy row per cell: padded scatter
         # indices land there, so fancy adds never touch real queues.
@@ -724,13 +715,10 @@ class BatchRunner:
         pos_in = n_ext > 0.0
         ext_add = np.where(pos_in, n_ext, 0.0)
         pack.acc_ext += ext_add
-        shares_rows = shares.reshape(C * Pmax, Vmax)
-        in_sums = share_sums.reshape(-1)[pack.input_pe_flat]
-        hosted = in_sums > _EPS
+        hosted = sp.hosted
         feed = pos_in & hosted
         if feed.any():
-            in_shares = shares_rows[pack.input_pe_flat]
-            contrib_in = (ext_add * feed)[:, :, None] * in_shares
+            contrib_in = (ext_add * feed)[:, :, None] * sp.in_shares
             # Real targets are unique (one row per distinct input PE per
             # cell), so a buffered fancy add is exact; only the padded
             # entries collide — on the dummy row, which is never read.
@@ -775,10 +763,9 @@ class BatchRunner:
             pack.next_refresh = float(pack.refresh_at.min())
         eg = pack.egress
         if pack.Emax:
-            dst_shares = shares_rows[pack.edge_dst_flat]
-            active = (_seqsum(eg) > _EPS) & (_seqsum(dst_shares) > _EPS)
+            active = (_seqsum(eg) > _EPS) & sp.dst_live
             if active.any():
-                remote_want = eg * (1.0 - dst_shares)
+                remote_want = eg * sp.dst_rest
                 # Masked divide: lanes below the epsilon keep f = 1 and
                 # are never computed, so no errstate guard is needed.
                 f = np.ones_like(eg)
@@ -787,21 +774,22 @@ class BatchRunner:
                     where=remote_want > _EPS,
                 )
                 np.minimum(f, 1.0, out=f)
+                kept = 1.0 - f
                 moved_pool = _seqsum(f * eg)
-                contrib = dst_shares * (
-                    moved_pool[:, :, None] + eg * (1.0 - f)
+                contrib = sp.dst_shares * (
+                    moved_pool[:, :, None] + eg * kept
                 )
                 sel = active.reshape(-1)
                 np.add.at(
                     av, pack.edge_flat.reshape(-1)[sel],
                     contrib.reshape(-1, Vmax)[sel],
                 )
-                eg[active] = (eg * (1.0 - dst_shares) * (1.0 - f))[active]
+                eg[active] = (remote_want * kept)[active]
 
         # 4. processing.
         arr_real = arrivals[:, :Pmax, :]
         queue = pack.backlog + arr_real
-        served = np.minimum(queue, cap_msgs)
+        served = np.minimum(queue, sp.cap_msgs)
         np.subtract(queue, served, out=pack.backlog)
         arr_inc = _seqsum(arr_real)
         proc_inc = _seqsum(served)
@@ -820,5 +808,5 @@ class BatchRunner:
                 eg[grown] += flow[grown]
         return _TickRecord(
             ext_add, deliv_inc, arr_inc, proc_inc, del_inc,
-            arr_real, cap_msgs, served,
+            arr_real, sp.cap_msgs, served,
         )

@@ -22,7 +22,16 @@ network budgets live in ``(E, V)`` matrices, CPU coefficients for the
 whole fleet are gathered from stacked trace views with one indexing
 operation, and interval counters accumulate in NumPy arrays that are
 flushed to the :class:`IntervalStats` dicts once per
-:meth:`roll_interval`.
+:meth:`roll_interval`.  Phase 1 of the tick — coefficients, ready
+mask, effective speeds, service capacities and routing shares, one
+routine shared with the batch tick — is cached, since its inputs change
+only at a trace step, a VM ready time, a fleet rebuild or an alternate
+switch.  An entry is keyed by ``dt`` and the exact gather index
+``int(t / res) % length`` of the stacked trace series, stays valid
+while ``t`` is below the first VM ready time after the ``t`` it was
+computed at, and is dropped by :meth:`sync` and by an alternate switch.
+Coefficients of VMs without a series view (or with a mixed-resolution
+one) are never cached: such fleets recompute phase 1 every tick.
 
 **Steady-state macro-stepping.**  Long stretches of a run are exactly
 periodic: rates are piecewise-constant, queues are empty or at a fixed
@@ -133,6 +142,122 @@ def _reject_synchronize_merges(dataflow: DynamicDataflow) -> None:
             f"the execution engines support MULTI_MERGE only; PEs with "
             f"SYNCHRONIZE merges: {offenders}"
         )
+
+
+class _CoefGroup:
+    """Stacked CPU-trace series sharing one (length, resolution).
+
+    ``stack[k]`` is the series of the VM lane ``flat[k]`` (an index into
+    the flattened coefficient array), read at ``offsets[k] + int(t / res)``
+    modulo ``length``.
+    """
+
+    __slots__ = ("stack", "offsets", "arange", "flat", "res", "length")
+
+    def __init__(self, stack, offsets, flat, res) -> None:
+        self.stack = stack
+        self.offsets = offsets
+        self.arange = np.arange(stack.shape[0])
+        self.flat = flat
+        self.res = res
+        self.length = stack.shape[1]
+
+
+class _SpeedPhase:
+    """Tick phase 1, shared by the serial and the batch tick.
+
+    From the CPU coefficients (``groups`` gather stacked trace series;
+    ``fill`` writes any other lanes), the ready mask and the core speeds
+    it derives each (PE, VM) service capacity ``cap_msgs`` and routing
+    ``shares`` — capacity-proportional, falling back to
+    allocation-proportional for PEs whose hosts all run at zero
+    effective speed (e.g. still booting) — with ``share_sums`` and the
+    share-only terms of the later phases: ``dst_shares`` (each edge's
+    destination shares), its live mask ``dst_live``, ``dst_rest = 1 −
+    dst_shares`` and, given input rows, ``hosted`` / ``in_shares``.
+    Arrays keep the owner's leading axes, ``(P, V)`` for one executor
+    and ``(C, P, V)`` for a batch; index rows point into the flattened
+    shares.  :meth:`update` reuses the outputs while its inputs hold
+    (see the module docstring); they are read-only, so a stray write
+    raises instead of corrupting later ticks.
+    """
+
+    __slots__ = (
+        "alloc", "core_speed", "ready_time", "cost", "groups", "fill",
+        "edge_dst", "input_pe", "counter", "key", "until",
+        "cap_msgs", "shares", "share_sums", "dst_shares", "dst_live",
+        "dst_rest", "hosted", "in_shares",
+    )
+
+    def __init__(self, alloc, core_speed, ready_time, cost, groups, fill,
+                 edge_dst, input_pe, counter) -> None:
+        self.alloc = alloc
+        self.core_speed = core_speed
+        self.ready_time = ready_time
+        self.cost = cost
+        self.groups = groups
+        self.fill = fill
+        self.edge_dst = edge_dst
+        self.input_pe = input_pe
+        #: perf counter bumped on every recompute.
+        self.counter = counter
+        self.key: Optional[tuple] = None
+        self.until = -math.inf
+
+    def update(self, t: float, dt: float) -> None:
+        """Make the outputs those of a tick of length ``dt`` at ``t``:
+        kept while ``dt`` and every group's gather index are unchanged
+        and no VM turned ready since they were computed, else
+        recomputed (always, when ``fill`` is set)."""
+        key = None
+        if self.fill is None:
+            key = (dt, *[int(t / g.res) % g.length for g in self.groups])
+            if key == self.key and t < self.until:
+                return
+        coef = np.ones(self.ready_time.shape)
+        lanes = coef.reshape(-1)
+        for g in self.groups:
+            pos = (g.offsets + int(t / g.res)) % g.length
+            lanes[g.flat] = g.stack[g.arange, pos]
+        if self.fill is not None:
+            self.fill(coef, t)
+        ready = self.ready_time <= t
+        later = self.ready_time[~ready]
+        self.until = float(later.min()) if later.size else math.inf
+        np.multiply(self.core_speed, coef, out=coef)
+        np.multiply(coef, ready, out=coef)
+        units = self.alloc * coef[..., np.newaxis, :]
+        unit_sums = _seqsum(units)
+        cap_msgs = units / self.cost * dt
+        shares = np.zeros_like(units)
+        live = unit_sums > _EPS
+        np.divide(units, unit_sums[..., np.newaxis], out=shares,
+                  where=live[..., np.newaxis])
+        if not live.all():
+            alloc_sums = _seqsum(self.alloc)
+            fallback = (~live) & (alloc_sums > 0)
+            if fallback.any():
+                np.divide(self.alloc, alloc_sums[..., np.newaxis],
+                          out=shares, where=fallback[..., np.newaxis])
+        share_sums = _seqsum(shares)
+        rows = shares.reshape(-1, shares.shape[-1])
+        dst_shares = rows[self.edge_dst]
+        hosted = in_shares = None
+        if self.input_pe is not None:
+            hosted = share_sums.reshape(-1)[self.input_pe] > _EPS
+            in_shares = rows[self.input_pe]
+        outputs = (
+            cap_msgs, shares, share_sums, dst_shares,
+            _seqsum(dst_shares) > _EPS, 1.0 - dst_shares, hosted, in_shares,
+        )
+        for a in outputs:
+            if a is not None:
+                a.flags.writeable = False
+        (self.cap_msgs, self.shares, self.share_sums, self.dst_shares,
+         self.dst_live, self.dst_rest, self.hosted, self.in_shares) = outputs
+        self.key = key
+        if perf.enabled():
+            perf.add(self.counter)
 
 
 class _MigratingBuffer:
@@ -254,6 +379,7 @@ class FluidExecutor:
         ]
         # Split factor per edge: 1 for and-split, 1/k otherwise (a
         # structural property of the graph, independent of the selection).
+        # Kept as an (E, 1) column, broadcast over the VM axis.
         factors = []
         for u, _w in self._edges:
             k = len(dataflow.successors(u))
@@ -261,7 +387,7 @@ class FluidExecutor:
                 factors.append(1.0)
             else:
                 factors.append(1.0 / k)
-        self._edge_factors = np.array(factors)
+        self._edge_factors = np.array(factors)[:, np.newaxis]
         self._input_idx = np.array(
             [self._pe_index[n] for n in dataflow.inputs], dtype=np.intp
         )
@@ -281,11 +407,11 @@ class FluidExecutor:
         self._core_speed = np.zeros(0)
         self._ready_time = np.zeros(0)
         self._cpu_views: list[Optional[tuple[np.ndarray, int, float]]] = []
-        self._coef_stack: Optional[np.ndarray] = None
-        self._coef_offsets = np.zeros(0, dtype=np.intp)
-        self._coef_rows = np.zeros(0, dtype=np.intp)
-        self._coef_res = 1.0
+        self._coef_group: Optional[_CoefGroup] = None
         self._coef_scalar_idx: list[int] = []
+        #: Tick phase 1 over the current fleet and selection; dropped by
+        #: sync() and by an alternate switch, rebuilt by the next tick.
+        self._speed: Optional[_SpeedPhase] = None
         #: Per-edge egress buffers, shape (E, V).
         self._egress = np.zeros((E, 0))
         #: Per-edge remote-transfer budgets, shape (E, V); ``inf`` means
@@ -366,18 +492,20 @@ class FluidExecutor:
 
     def _set_selection_arrays(self) -> None:
         df = self.dataflow
+        # (P, 1) columns, broadcast over the VM axis.
         self._cost = np.array(
             [
                 df.active_alternate(self.selection, n).cost
                 for n in self._pe_names
             ]
-        )
+        )[:, np.newaxis]
         self._selectivity = np.array(
             [
                 df.active_alternate(self.selection, n).selectivity
                 for n in self._pe_names
             ]
-        )
+        )[:, np.newaxis]
+        self._speed = None
         # Linear gain from each input PE's rate to each output PE's ideal
         # output rate (deliverable accounting is then one dot product).
         key = tuple(self.selection[n] for n in self._pe_names)
@@ -408,6 +536,7 @@ class FluidExecutor:
         """
         t = self.env.now if now is None else now
         self._macro_settle(t, mutating=True)
+        self._speed = None
         old_vms = self._vms
         old_backlog = self._backlog
         old_egress = self._egress
@@ -592,7 +721,7 @@ class FluidExecutor:
                 series, _offset, res = view
                 groups.setdefault((series.shape[0], float(res)), []).append(j)
 
-        self._coef_stack = None
+        self._coef_group = None
         if groups:
             # Largest homogeneous group gets the stacked gather; any
             # stragglers (mixed-resolution custom models) stay scalar.
@@ -601,11 +730,12 @@ class FluidExecutor:
                 if key != (L, res):
                     self._coef_scalar_idx.extend(other)
             views = [self._cpu_views[j] for j in idx]
-            self._coef_stack = np.stack([v[0] for v in views])
-            self._coef_offsets = np.array([v[1] for v in views], dtype=np.intp)
-            self._coef_rows = np.array(idx, dtype=np.intp)
-            self._coef_arange = np.arange(len(idx))
-            self._coef_res = res
+            self._coef_group = _CoefGroup(
+                np.stack([v[0] for v in views]),
+                np.array([v[1] for v in views], dtype=np.intp),
+                np.array(idx, dtype=np.intp),
+                res,
+            )
         self._coef_scalar_idx.sort()
 
         # Macro-stepping metadata: a VM without a series view has an
@@ -1160,28 +1290,13 @@ class FluidExecutor:
                 for m in due:
                     self._deposit(m.pe, m.messages)
 
-        # 1. current effective speeds.
-        coef = self._coefficients(t)
-        ready = self._ready_time <= t
-        eff_speed = self._core_speed * coef * ready
-        units = self._alloc * eff_speed[np.newaxis, :]  # (P, V)
-        unit_sums = _seqsum(units)
-        cap_msgs = units / self._cost[:, np.newaxis] * dt
-
-        # Per-PE routing shares: capacity-proportional, falling back to
-        # allocation-proportional for PEs whose hosts are all at zero
-        # effective speed (e.g. still booting).
-        shares = np.zeros_like(units)
-        live = unit_sums > _EPS
-        np.divide(units, unit_sums[:, np.newaxis], out=shares,
-                  where=live[:, np.newaxis])
-        if not live.all():
-            alloc_sums = _seqsum(self._alloc)
-            fallback = (~live) & (alloc_sums > 0)
-            if fallback.any():
-                np.divide(self._alloc, alloc_sums[:, np.newaxis], out=shares,
-                          where=fallback[:, np.newaxis])
-        share_sums = _seqsum(shares)
+        # 1. effective speeds, capacities and routing shares (recomputed
+        # only when one of their inputs changed).
+        sp = self._speed
+        if sp is None:
+            sp = self._speed = self._speed_phase()
+        sp.update(t, dt)
+        shares, share_sums = sp.shares, sp.share_sums
 
         arrivals = np.zeros((P, V))
 
@@ -1227,30 +1342,35 @@ class FluidExecutor:
         # arrivals_j = s_j (Σ_i f_i eg_i + eg_j (1 − f_j)).
         eg = self._egress
         if eg.size:
-            dst_shares = shares[self._edge_dst]  # (E, V)
-            active = (_seqsum(eg) > _EPS) & (
-                _seqsum(dst_shares) > _EPS
-            )
+            active = (_seqsum(eg) > _EPS) & sp.dst_live
             if active.any():
-                remote_want = eg * (1.0 - dst_shares)
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    f = np.where(
-                        remote_want > _EPS,
-                        np.minimum(
-                            1.0, (self._remote_budget * dt) / remote_want
-                        ),
-                        1.0,
-                    )
-                moved_pool = _seqsum(f * eg)
-                contrib = dst_shares * (
-                    moved_pool[:, np.newaxis] + eg * (1.0 - f)
+                remote_want = eg * sp.dst_rest
+                # Masked divide: lanes below the epsilon keep f = 1 and
+                # are never computed, so no errstate guard is needed.
+                f = np.ones_like(eg)
+                np.divide(
+                    self._remote_budget * dt, remote_want, out=f,
+                    where=remote_want > _EPS,
                 )
-                np.add.at(arrivals, self._edge_dst[active], contrib[active])
-                eg[active] = (eg * (1.0 - dst_shares) * (1.0 - f))[active]
+                np.minimum(f, 1.0, out=f)
+                kept = 1.0 - f
+                moved_pool = _seqsum(f * eg)
+                contrib = sp.dst_shares * (
+                    moved_pool[:, np.newaxis] + eg * kept
+                )
+                left = remote_want * kept
+                if active.all():
+                    np.add.at(arrivals, self._edge_dst, contrib)
+                    eg[...] = left
+                else:
+                    np.add.at(
+                        arrivals, self._edge_dst[active], contrib[active]
+                    )
+                    eg[active] = left[active]
 
         # 4. processing.
         queue = self._backlog + arrivals
-        served = np.minimum(queue, cap_msgs)
+        served = np.minimum(queue, sp.cap_msgs)
         self._backlog = queue - served
         arr_inc = _seqsum(arrivals)
         proc_inc = _seqsum(served)
@@ -1258,18 +1378,20 @@ class FluidExecutor:
         self._acc_processed += proc_inc
 
         # 5. emission.
-        out = served * self._selectivity[:, np.newaxis]
+        out = served * self._selectivity
         del_inc = _seqsum(out[self._output_idx])
         self._acc_delivered += del_inc
         if ext_inc is not None:
             self._macro_record = (
                 ext_inc, deliv_inc, arr_inc, proc_inc, del_inc,
-                arrivals, cap_msgs, served,
+                arrivals, sp.cap_msgs, served,
             )
         if eg.size:
-            flow = out[self._edge_src] * self._edge_factors[:, np.newaxis]
+            flow = out[self._edge_src] * self._edge_factors
             grown = _seqsum(flow) > _EPS
-            if grown.any():
+            if grown.all():
+                eg += flow
+            elif grown.any():
                 eg[grown] += flow[grown]
 
     # -- helpers ---------------------------------------------------------------------------
@@ -1287,14 +1409,9 @@ class FluidExecutor:
             return
         self._backlog[i] += messages * (alloc / total)
 
-    def _coefficients(self, t: float) -> np.ndarray:
-        V = len(self._vms)
-        coef = np.ones(V)
-        if self._coef_stack is not None:
-            pos = (self._coef_offsets + int(t / self._coef_res)) % (
-                self._coef_stack.shape[1]
-            )
-            coef[self._coef_rows] = self._coef_stack[self._coef_arange, pos]
+    def _fill_coefficients(self, coef: np.ndarray, t: float) -> None:
+        """Write the CPU coefficients at ``t`` of the VMs outside the
+        stacked gather into ``coef`` (one lane per VM)."""
         for j in self._coef_scalar_idx:
             view = self._cpu_views[j]
             if view is None:
@@ -1302,7 +1419,16 @@ class FluidExecutor:
             else:
                 series, offset, res = view
                 coef[j] = series[(offset + int(t / res)) % series.shape[0]]
-        return coef
+
+    def _speed_phase(self) -> _SpeedPhase:
+        """Tick phase 1 over the current fleet and selection."""
+        g = self._coef_group
+        fill = self._fill_coefficients if self._coef_scalar_idx else None
+        return _SpeedPhase(
+            self._alloc, self._core_speed, self._ready_time, self._cost,
+            () if g is None else (g,), fill, self._edge_dst, None,
+            "engine.speed_recomputes",
+        )
 
     def _refresh_network(self, t: float, shares: np.ndarray) -> None:
         """Re-sample per-edge remote-transfer budgets from monitored links.
