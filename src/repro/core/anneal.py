@@ -5,10 +5,18 @@ multiset) — the optimizer baseline ROADMAP calls for on graphs where
 :class:`~repro.core.bruteforce.BruteForceDeployment` is impractical.  The
 search *shares the brute force's demand model, packing feasibility test
 and Θ formula by construction* (it delegates to a `BruteForceDeployment`
-instance for ``_demands``/``_try_pack``): any configuration annealing can
-reach is one the exhaustive search scores identically, so on graphs small
-enough to solve exactly, annealing can never exceed the optimum — the
-S23 differential harness pins this.
+instance for ``_demands`` and its packing kernel ``_first_fit``): any
+configuration annealing can reach is one the exhaustive search scores
+identically, so on graphs small enough to solve exactly, annealing can
+never exceed the optimum — the S23 differential harness pins this.
+
+Energy memo: within one :meth:`AnnealingDeployment.plan` call each VM
+class is priced once, each selection's demand order and Γ are computed
+once, and every ``(selection, counts) → (feasible, Θ)`` is memoized; only
+the returned configuration is built into a cluster.  Nothing is cached
+across calls.  ``evaluations`` counts every energy evaluation, memo hits
+included, so the budget, the RNG draws and the plan do not depend on the
+memo.
 
 Anytime contract: the search runs until either ``max_evals`` energy
 evaluations or the optional ``time_budget_s`` wall-clock budget is
@@ -38,9 +46,9 @@ from ..cloud.billing import BillingModel
 from ..cloud.resources import VMClass
 from ..dataflow.graph import DynamicDataflow
 from ..sim.rng import RandomStreams
-from .bruteforce import BruteForceConfig, BruteForceDeployment
+from .bruteforce import BruteForceConfig, BruteForceDeployment, _demand_order
 from .deployment import DeploymentConfig, InitialDeployment
-from .state import ClusterView, DeploymentPlan
+from .state import DeploymentPlan
 
 __all__ = ["AnnealConfig", "AnnealingDeployment"]
 
@@ -155,21 +163,23 @@ class AnnealingDeployment:
         for vm in seed_plan.cluster.vms:
             counts[index[vm.vm_class.name]] += 1
         selection = dict(seed_plan.selection)
+        energy = _Energy(self, rates)
 
         # The greedy packing and the brute-force packing differ, so the
         # seed multiset may not first-fit; grow it until it does.
-        cluster, theta = self._evaluate(selection, counts, rates)
+        feasible, theta = self._evaluate(energy, selection, counts)
         repairs = 0
-        while cluster is None and repairs < 64:
+        while not feasible and repairs < 64:
             counts[-1] += 1
             repairs += 1
-            cluster, theta = self._evaluate(selection, counts, rates)
-        if cluster is None:
+            feasible, theta = self._evaluate(energy, selection, counts)
+        if not feasible:
             return seed_plan  # pathological catalog; keep the greedy plan
 
         rng = RandomStreams(cfg.seed).get("anneal")
         started = time.monotonic() if cfg.time_budget_s is not None else None
-        best_theta, best_cluster, best_selection = theta, cluster, dict(selection)
+        best_theta, best_selection = theta, dict(selection)
+        best_counts = list(counts)
         current_theta = theta
 
         while self._evaluations < cfg.max_evals:
@@ -181,10 +191,8 @@ class AnnealingDeployment:
             frac = self._evaluations / max(1, cfg.max_evals)
             temp = cfg.initial_temp * (cfg.final_temp / cfg.initial_temp) ** frac
             cand_sel, cand_counts = self._propose(rng, selection, counts)
-            cand_cluster, cand_theta = self._evaluate(
-                cand_sel, cand_counts, rates
-            )
-            if cand_cluster is None:
+            feasible, cand_theta = self._evaluate(energy, cand_sel, cand_counts)
+            if not feasible:
                 continue  # infeasible: reject, budget still consumed
             accept = cand_theta >= current_theta or float(
                 rng.random()
@@ -197,40 +205,28 @@ class AnnealingDeployment:
                 )
                 if cand_theta > best_theta:
                     best_theta = cand_theta
-                    best_cluster = cand_cluster
+                    best_counts = cand_counts
                     best_selection = dict(cand_sel)
 
         self._best_theta = best_theta
-        return DeploymentPlan(selection=best_selection, cluster=best_cluster)
+        cluster = self._bf._try_pack(
+            best_counts, self._bf._demands(best_selection, rates)
+        )
+        return DeploymentPlan(selection=best_selection, cluster=cluster)
 
     # -- energy ---------------------------------------------------------------
 
     def _evaluate(
         self,
+        energy: "_Energy",
         selection: Mapping[str, str],
         counts: list[int],
-        rates: Mapping[str, float],
-    ) -> tuple[Optional[ClusterView], float]:
-        """(packed cluster, Θ) of one configuration; (None, −inf) if
-        infeasible under the brute-force packing."""
+    ) -> tuple[bool, float]:
+        """(feasible, Θ) of one configuration; Θ is −inf if infeasible
+        under the brute-force packing.  A memo hit spends an evaluation
+        too, so budgets, RNG draws and plans do not depend on the memo."""
         self._evaluations += 1
-        demands = self._bf._demands(selection, rates)
-        cluster = self._bf._try_pack(list(counts), demands)
-        if cluster is None:
-            return None, -math.inf
-        gamma = self.dataflow.application_value(selection)
-        return cluster, gamma - self.config.sigma * self._period_cost(cluster)
-
-    def _period_cost(self, cluster: ClusterView) -> float:
-        cfg = self.config
-        if cfg.billing is None:
-            # Identical to the brute force's static-plan metric.
-            return cluster.total_hourly_price() * cfg.period_hours
-        duration_s = cfg.period_hours * 3600.0
-        return sum(
-            cfg.billing.lifetime_cost(vm.vm_class, duration_s)
-            for vm in cluster.vms
-        )
+        return energy(selection, counts)
 
     # -- proposals -------------------------------------------------------------
 
@@ -263,3 +259,63 @@ class AnnealingDeployment:
         # move == 1, or the chosen move had no legal target: add a VM.
         cnt[int(rng.integers(len(cnt)))] += 1
         return sel, cnt
+
+
+class _Energy:
+    """Θ of (selection, VM counts) configurations for one plan() call.
+
+    Each class is priced once, each selection's demand order and Γ are
+    computed once, and every configuration's (feasible, Θ) is memoized.
+    An instance lives only as long as the plan() call that made it.
+    """
+
+    def __init__(
+        self, search: AnnealingDeployment, rates: Mapping[str, float]
+    ) -> None:
+        cfg = search.config
+        self._bf = search._bf
+        self._dataflow = search.dataflow
+        self._rates = rates
+        self._sigma = cfg.sigma
+        if cfg.billing is None:
+            # The brute force's static-plan metric: list price × period.
+            self._prices = [c.hourly_price for c in search.catalog]
+            self._hours: Optional[float] = cfg.period_hours
+        else:
+            duration_s = cfg.period_hours * 3600.0
+            self._prices = [
+                cfg.billing.lifetime_cost(c, duration_s) for c in search.catalog
+            ]
+            self._hours = None
+        self._packings: dict[
+            tuple[str, ...], tuple[list[tuple[str, float]], float]
+        ] = {}
+        self._scores: dict[tuple, tuple[bool, float]] = {}
+
+    def __call__(
+        self, selection: Mapping[str, str], counts: list[int]
+    ) -> tuple[bool, float]:
+        sel_key = tuple(map(selection.__getitem__, self._dataflow.pe_names))
+        key = (sel_key, tuple(counts))
+        score = self._scores.get(key)
+        if score is None:
+            packing = self._packings.get(sel_key)
+            if packing is None:
+                demands = self._bf._demands(selection, self._rates)
+                packing = self._packings[sel_key] = (
+                    _demand_order(demands),
+                    self._dataflow.application_value(selection),
+                )
+            order, gamma = packing
+            if self._bf._first_fit(counts, order) is None:
+                score = (False, -math.inf)
+            else:
+                score = (True, gamma - self._sigma * self._cost(counts))
+            self._scores[key] = score
+        return score
+
+    def _cost(self, counts: list[int]) -> float:
+        # One term per VM in catalog × count order, the order the packed
+        # cluster lists its VMs in, so the sum keeps its bits.
+        cost = sum([p for p, n in zip(self._prices, counts) for _ in range(n)])
+        return cost if self._hours is None else cost * self._hours

@@ -12,6 +12,12 @@ for the throttled flow achieves relative application throughput exactly
 pruning; the per-PE demands are then first-fit packed at integer-core
 granularity to verify feasibility.
 
+One packing kernel, :meth:`BruteForceDeployment._first_fit`, tests every
+candidate multiset of this search and of
+:class:`~repro.core.anneal.AnnealingDeployment`.  It works on plain
+per-VM lists of free cores and core speeds; a :class:`ClusterView` is
+built (``_try_pack``) only for the configuration a search returns.
+
 The search is exponential in PE alternates and VM counts; the paper notes
 it "takes prohibitively long ... for higher data rates".  A
 ``max_configurations`` guard makes that explicit instead of hanging.
@@ -81,6 +87,13 @@ class BruteForceDeployment:
         self.dataflow = dataflow
         self.catalog = sorted(catalog)
         self.config = config or BruteForceConfig()
+        # The packing kernel's VM visiting order, as catalog indices:
+        # fastest cores first, ties in catalog order.
+        self._fit_order = sorted(
+            range(len(self.catalog)),
+            key=lambda i: self.catalog[i].core_speed,
+            reverse=True,
+        )
         self._examined = 0
 
     # -- public ---------------------------------------------------------------
@@ -153,10 +166,13 @@ class BruteForceDeployment:
 
         Enumerates class count vectors recursively with two prunings: cost
         already above the cheapest feasible multiset found, and Θ upper
-        bound (``gamma − σ·cost``) already below ``theta_to_beat``.
+        bound (``gamma − σ·cost``) already below ``theta_to_beat``.  Leaves
+        are tested by :meth:`_first_fit` alone; only the winning counts
+        are built into a cluster.
         """
         cfg = self.config
         total = sum(demands.values())
+        order = _demand_order(demands)
         classes = self.catalog
         # Upper bound per class: enough of it alone to cover everything,
         # plus slack for integer-core fragmentation.
@@ -165,11 +181,11 @@ class BruteForceDeployment:
         ]
 
         best_cost = math.inf
-        best_cluster: Optional[ClusterView] = None
+        best_counts: Optional[list[int]] = None
         counts = [0] * len(classes)
 
         def rec(i: int, capacity: float, hourly: float) -> None:
-            nonlocal best_cost, best_cluster
+            nonlocal best_cost, best_counts
             self._examined += 1
             if self._examined > cfg.max_configurations:
                 raise SearchBudgetExceeded(
@@ -180,54 +196,92 @@ class BruteForceDeployment:
             if gamma - cfg.sigma * hourly * cfg.period_hours <= theta_to_beat:
                 return  # cannot beat the incumbent selection either
             if capacity >= total - _EPS:
-                cluster = self._try_pack(counts, demands)
-                if cluster is not None:
+                if self._first_fit(counts, order) is not None:
                     best_cost = hourly * cfg.period_hours
-                    best_cluster = cluster
+                    best_counts = list(counts)
                 # Feasible-or-not, adding more VMs only raises cost.
                 # Keep searching siblings, not children.
             if i == len(classes):
                 return
-            c = classes[i]
+            cap, price = classes[i].total_capacity, classes[i].hourly_price
             for n in range(limits[i] + 1):
                 counts[i] = n
-                rec(i + 1, capacity + n * c.total_capacity, hourly + n * c.hourly_price)
+                rec(i + 1, capacity + n * cap, hourly + n * price)
             counts[i] = 0
 
         rec(0, 0.0, 0.0)
-        return best_cluster
+        if best_counts is None:
+            return None
+        return self._try_pack(best_counts, demands)
 
     def _try_pack(
         self, counts: list[int], demands: Mapping[str, float]
     ) -> Optional[ClusterView]:
         """First-fit-decreasing pack of PE demands into the given multiset
-        at integer-core granularity; None if infeasible."""
-        cluster = ClusterView()
-        views: list[VMView] = []
-        for count, klass in zip(counts, self.catalog):
-            for _ in range(count):
-                views.append(cluster.new_vm(klass))
-        if not views:
-            return None
-        # Fastest cores first minimizes rounding waste.
-        views.sort(key=lambda vm: vm.vm_class.core_speed, reverse=True)
+        at integer-core granularity; None if infeasible.
 
-        for name, demand in sorted(
-            demands.items(), key=lambda kv: kv[1], reverse=True
-        ):
+        The cluster lists its VMs in catalog order, each class ``counts[i]``
+        times, so :meth:`ClusterView.total_hourly_price` sums in that order.
+        """
+        allocations = self._first_fit(counts, _demand_order(demands))
+        if allocations is None:
+            return None
+        # The kernel visits classes in ``_fit_order``; copies of one class
+        # keep their relative order in both orders.
+        by_class: list[list[dict[str, int]]] = [[] for _ in self.catalog]
+        packed = iter(allocations)
+        for i in self._fit_order:
+            by_class[i] = [next(packed) for _ in range(counts[i])]
+        return ClusterView(
+            VMView(vm_class=klass, allocations=allocs)
+            for klass, class_allocs in zip(self.catalog, by_class)
+            for allocs in class_allocs
+        )
+
+    def _first_fit(
+        self, counts: list[int], order: list[tuple[str, float]]
+    ) -> Optional[list[dict[str, int]]]:
+        """The packing kernel: first-fit ``order`` (PE, demand) pairs, largest
+        first, into ``counts[i]`` VMs of each catalog class.
+
+        VMs are visited fastest cores first, which minimizes rounding
+        waste, ties in catalog order; each PE takes whole cores, at least
+        one, from every VM with free cores until its demand is covered.
+        Returns each VM's ``{PE: cores}`` in visiting order, or None if the
+        demands do not fit.
+        """
+        free: list[int] = []
+        speeds: list[float] = []
+        for i in self._fit_order:
+            n = counts[i]
+            if n:
+                klass = self.catalog[i]
+                free += [klass.cores] * n
+                speeds += [klass.core_speed] * n
+        if not free:
+            return None
+        allocations: list[dict[str, int]] = [{} for _ in free]
+        for name, demand in order:
             remaining = demand
             placed_any = False
-            for vm in views:
+            for v, speed in enumerate(speeds):
                 if remaining <= _EPS and placed_any:
                     break
-                if vm.free_cores == 0:
+                if free[v] == 0:
                     continue
-                speed = vm.vm_class.core_speed
-                need = math.ceil(max(remaining, _EPS) / speed - 1e-9)
-                cores = min(need, vm.free_cores)
-                vm.allocate(name, cores)
+                # At least one core: a demand or residue at most about
+                # speed × 1e-9 would otherwise round ``need`` down to 0.
+                need = max(1, math.ceil(max(remaining, _EPS) / speed - 1e-9))
+                cores = min(need, free[v])
+                free[v] -= cores
+                allocations[v][name] = cores
                 remaining -= cores * speed
                 placed_any = True
             if remaining > _EPS or not placed_any:
                 return None
-        return cluster
+        return allocations
+
+
+def _demand_order(demands: Mapping[str, float]) -> list[tuple[str, float]]:
+    """(PE, demand) pairs largest first; ties keep ``demands`` order."""
+    return sorted(demands.items(), key=lambda kv: kv[1], reverse=True)
