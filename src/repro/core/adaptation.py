@@ -37,9 +37,10 @@ from ..dataflow.metrics import constrained_rates, relative_application_throughpu
 from ..dataflow.patterns import SplitPattern
 from ..dataflow.pe import Alternate
 from ..obs import collector as _trace
+from ..util import perf as _perf
 from ..validate import invariants as _validate
 from .deployment import Strategy
-from .state import ClusterView, DeploymentPlan, Snapshot
+from .state import ClusterView, DeploymentPlan, Snapshot, VMView
 
 __all__ = ["AdaptationConfig", "RuntimeAdaptation", "HedgedAdaptation"]
 
@@ -430,7 +431,6 @@ class RuntimeAdaptation:
     ) -> None:
         cfg = self.config
         df = self.dataflow
-        target = min(1.0, cfg.omega_min + cfg.epsilon / 2)
 
         # A PE is a bottleneck if it cannot serve the constraint's share
         # of its *ideal* arrivals plus its backlog-drain rate.  (Sizing
@@ -450,11 +450,11 @@ class RuntimeAdaptation:
             if required > _EPS:
                 required_by_pe.append((name, required))
 
-        while True:
-            caps = cluster.capacities(df, selection)
-            flow = constrained_rates(df, selection, input_rates, caps)
-            omega = relative_application_throughput(df, flow)
-
+        # A core changes only its PE's capacity: re-sum that one entry as
+        # pe_units_map does (hosts in VM order, left-to-right +).
+        caps = cluster.capacities(df, selection)
+        start = used = cluster.total_used_cores()
+        while used < cfg.max_cores:
             bottleneck = None
             worst = 1.0 - 1e-6
             for name, required in required_by_pe:
@@ -463,14 +463,15 @@ class RuntimeAdaptation:
                     bottleneck = name
                     worst = ratio
             if bottleneck is None:
-                if omega >= target - _EPS:
-                    break
-                # Ω trails the target yet no PE is saturated (e.g. input
-                # rates dipped): nothing a core can fix right now.
-                break
-            if cluster.total_used_cores() >= cfg.max_cores:
-                break
+                break  # no PE is short of its required capacity
             self._add_core(cluster, bottleneck, snapshot, selection)
+            used += 1
+            units = 0.0
+            for vm in cluster.vms_hosting(bottleneck):
+                units += vm.allocations[bottleneck] * vm.core_units()
+            cost = df.active_alternate(selection, bottleneck).cost
+            caps[bottleneck] = units / cost
+        _perf.add("adapt.scale_out_cores", used - start)
 
     def _add_core(
         self,
@@ -479,31 +480,34 @@ class RuntimeAdaptation:
         snapshot: Snapshot,
         selection: Mapping[str, str],
     ) -> None:
-        """Grant one more core to ``pe_name``.
+        """Grant one more core to ``pe_name``: a free (already-paid) core
+        if any (:meth:`_free_core`), else a new VM of the strategy's class."""
+        vm = self._free_core(cluster, pe_name) or cluster.new_vm(
+            self._provision_class(cluster, pe_name, snapshot, selection)
+        )
+        vm.allocate(pe_name, 1)
 
-        Free (already-paid) cores are used before provisioning.  Among
-        free cores the preference order keeps traffic local: VMs already
-        hosting this PE, then VMs hosting a dataflow *neighbour*
-        (collocation avoids network transfer, §5), then the fastest
-        remaining core.  New VMs follow the strategy's class policy.
+    def _free_core(
+        self, cluster: ClusterView, pe_name: str
+    ) -> Optional[VMView]:
+        """The VM whose free core ``pe_name`` should take, or ``None``.
+
+        The order keeps traffic local: VMs already hosting this PE, then
+        VMs hosting a dataflow *neighbour* (collocation avoids network
+        transfer, §5), then the fastest core; ties go to the first VM.
         """
         neighbours = set(self.dataflow.successors(pe_name)) | set(
             self.dataflow.predecessors(pe_name)
         )
-        free = sorted(
+        return min(
             cluster.with_free_cores(),
             key=lambda vm: (
                 pe_name not in vm.allocations,
                 not any(n in vm.allocations for n in neighbours),
                 -vm.core_units(),
             ),
+            default=None,
         )
-        if free:
-            free[0].allocate(pe_name, 1)
-            return
-        cluster.new_vm(
-            self._provision_class(cluster, pe_name, snapshot, selection)
-        ).allocate(pe_name, 1)
 
     def _provision_class(
         self,
@@ -669,22 +673,11 @@ class HedgedAdaptation(RuntimeAdaptation):
 
         replaced = 0
         for pe_name, klass in displaced:
-            neighbours = set(self.dataflow.successors(pe_name)) | set(
-                self.dataflow.predecessors(pe_name)
-            )
-            free = sorted(
-                cluster.with_free_cores(),
-                key=lambda vm: (
-                    pe_name not in vm.allocations,
-                    not any(n in vm.allocations for n in neighbours),
-                    -vm.core_units(),
-                ),
-            )
-            if free:
-                free[0].allocate(pe_name, 1)
-            else:
-                cluster.new_vm(self._durable_twin(klass)).allocate(pe_name, 1)
+            vm = self._free_core(cluster, pe_name)
+            if vm is None:
+                vm = cluster.new_vm(self._durable_twin(klass))
                 replaced += 1
+            vm.allocate(pe_name, 1)
 
         if _trace.enabled():
             _trace.emit(

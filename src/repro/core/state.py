@@ -10,6 +10,10 @@ Capacity arithmetic (paper §3–4): a core of VM class ``k`` with monitored
 coefficient ``κ`` supplies ``π_k · κ`` *standard core units*; a PE whose
 active alternate costs ``c`` core-seconds/message sustains
 ``Σ units / c`` messages/second.
+
+Each :class:`VMView` keeps ``used_cores``, an exact int that ``allocate`` /
+``release`` (the only writers of ``allocations``) update and ``clone``
+copies.  Float unit totals are never kept: they are re-summed in VM order.
 """
 
 from __future__ import annotations
@@ -52,10 +56,13 @@ class VMView:
     paid_seconds_remaining: float = 0.0
     #: Stable key for planned VMs (so plans are diffable before provisioning).
     plan_key: str = field(default_factory=lambda: f"planned-{next(_new_vm_ids)}")
+    #: Cores held across all PEs: ``sum(allocations.values())``, kept.
+    used_cores: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.coefficient <= 0:
             raise ValueError("coefficient must be positive")
+        self.used_cores = sum(self.allocations.values())
         if self.used_cores > self.vm_class.cores:
             raise ValueError(
                 f"allocations exceed {self.vm_class.name} core count"
@@ -69,10 +76,6 @@ class VMView:
     @property
     def is_new(self) -> bool:
         return self.instance_id is None
-
-    @property
-    def used_cores(self) -> int:
-        return sum(self.allocations.values())
 
     @property
     def free_cores(self) -> int:
@@ -102,6 +105,7 @@ class VMView:
                 f"{self.key}: want {cores} cores, only {self.free_cores} free"
             )
         self.allocations[pe_name] = self.allocations.get(pe_name, 0) + cores
+        self.used_cores += cores
 
     def release(self, pe_name: str, cores: Optional[int] = None) -> int:
         held = self.allocations.get(pe_name, 0)
@@ -112,6 +116,7 @@ class VMView:
             self.allocations[pe_name] = held - n
         else:
             self.allocations.pop(pe_name, None)
+        self.used_cores -= n
         return n
 
     def clone(self) -> "VMView":
@@ -122,6 +127,7 @@ class VMView:
         new.instance_id = self.instance_id
         new.coefficient = self.coefficient
         new.allocations = dict(self.allocations)
+        new.used_cores = self.used_cores
         new.paid_seconds_remaining = self.paid_seconds_remaining
         new.plan_key = self.plan_key
         return new
@@ -185,17 +191,18 @@ class ClusterView:
         return [vm for vm in self._vms.values() if vm.free_cores > 0]
 
     def pe_units(self, pe_name: str) -> float:
-        """Total standard capacity units allocated to a PE."""
-        return sum(vm.units_for(pe_name) for vm in self._vms.values())
+        """Total standard capacity units allocated to a PE: a ``sum()`` in
+        VM order over its hosts (the other VMs would add exact zeros)."""
+        hosts = (vm for vm in self._vms.values() if pe_name in vm.allocations)
+        return sum((vm.units_for(pe_name) for vm in hosts), 0.0)
 
     def pe_units_map(self) -> dict[str, float]:
         """Standard capacity units per PE, for every hosted PE, in one pass.
 
-        Equivalent to ``{pe: self.pe_units(pe)}`` restricted to PEs with at
-        least one core, but O(Σ allocations) instead of O(VMs × PEs): each
-        VM contributes only the PEs it actually hosts.  Per-PE float sums
-        accumulate in the same VM order as :meth:`pe_units`, so the values
-        are bit-identical (skipped terms are exact zeros).
+        Each PE's total adds ``cores × core units`` left to right over its
+        hosting VMs in VM order, from ``0.0``.  Code that must reproduce a
+        total (``_scale_out``) does the same, never ``sum()``: Python ≥ 3.12
+        compensates it, so :meth:`pe_units` matches only on 3.10 and 3.11.
         """
         totals: dict[str, float] = {}
         get = totals.get

@@ -221,9 +221,11 @@ def apply_plan(
 
     # 3½. re-home displaced cores onto free fleet capacity, first-fit in
     # fleet (provisioning) order.  Runs after step 4 so survivors' plan
-    # growth is not crowded out; whatever finds no room is dropped.
+    # growth is not crowded out; whatever finds no room is dropped.  The
+    # loop only allocates, so the fleet is listed once.
+    fleet = provider.active_instances() if unhomed else []
     for pe_name, missing in unhomed:
-        for r in provider.active_instances():
+        for r in fleet:
             if missing <= 0:
                 break
             room = r.cores - r.used_cores

@@ -15,6 +15,8 @@ them at the emit points the engine already exposes to :mod:`repro.obs`:
 * **queue sanity** — per tick, no input queue, egress buffer, migration
   buffer, or unhosted holding buffer may go negative.
 * **metric ranges** — Ω and Γ stay within [0, 1].
+* **plans** — every planned VM fits its class, and the core count it
+  keeps equals the sum of its allocations.
 * **billing** — μ[t] recomputed independently over the *unique* set of
   registered instances (duplicates mean double-billing), monotone
   non-decreasing in time, with charges landing only when some instance
@@ -821,6 +823,15 @@ class InvariantChecker:
                     vm=vm.key,
                     used=used,
                     cores=vm.vm_class.cores,
+                )
+            if used != vm.used_cores:
+                self.fail(
+                    f"{site}.plan",
+                    t,
+                    "planned VM's core count diverges from its allocations",
+                    vm=vm.key,
+                    used=used,
+                    counted=vm.used_cores,
                 )
             if any(c < 0 for c in vm.allocations.values()):
                 self.fail(

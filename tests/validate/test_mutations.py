@@ -287,3 +287,48 @@ def test_out_of_range_omega_in_snapshot():
     assert exc.site == "core.adaptation.omega"
     assert exc.t == 120.0
     assert exc.details["omega_last"] == 1.5
+
+
+def test_allocation_written_past_planned_vm_core_count():
+    """A planned VM whose allocation dict is written directly, bypassing
+    ``allocate``, keeps a stale core count: the decision check re-sums
+    the dict and flags the difference."""
+    df = fig1_dataflow()
+    catalog = aws_2013_catalog()
+    plan = InitialDeployment(
+        df, catalog, DeploymentConfig(strategy="local", omega_min=0.7)
+    ).plan({"E1": 4.0})
+    adapter = RuntimeAdaptation(
+        df, catalog, AdaptationConfig(strategy="local")
+    )
+    retire = adapter._retire_idle_vms
+    poked_vm = []
+
+    def poked(cluster):
+        retire(cluster)
+        vm = cluster.vms[0]
+        # The mutation: one PE's cores leave the dict without release().
+        removed = vm.allocations.pop(next(iter(vm.allocations)))
+        poked_vm.append((vm.key, vm.used_cores, removed))
+
+    adapter._retire_idle_vms = poked
+    snapshot = Snapshot(
+        time=120.0,
+        selection=plan.selection,
+        cluster=plan.cluster.clone(),
+        input_rates={"E1": 4.0},
+        arrival_rates={},
+        omega_last=0.9,
+        omega_average=0.9,
+        backlogs={},
+        cumulative_cost=1.0,
+    )
+    with invariants.checking():
+        with pytest.raises(invariants.InvariantViolation) as exc_info:
+            adapter.adapt(snapshot, 1)
+    exc = exc_info.value
+    key, counted, removed = poked_vm[0]
+    assert exc.site == "core.adaptation.plan"
+    assert exc.t == 120.0
+    assert exc.details == {"vm": key, "used": counted - removed,
+                           "counted": counted}
