@@ -11,8 +11,9 @@ clients through four phases:
    the serving tier (LRU/disk).  Measures ``warm_rps``, the warm-path
    ``warm_p50_ms`` / ``warm_p95_ms`` (the server's own ``elapsed_ms``:
    parse → tier lookup → serialize, the latency the serving engine
-   controls), and client-side ``warm_p50_wall_ms`` (adds per-request
-   TCP setup and the benchmark harness's own thread contention).
+   controls), and client-side ``warm_p50_wall_ms`` (adds the transport
+   over each client thread's kept-alive connection and the benchmark
+   harness's own thread contention).
 3. **delta** — request single-field billing variants of the seeded
    scenarios; answers must come from the delta index *without
    re-simulation*.  Measures ``delta_hit_ratio``.

@@ -15,6 +15,11 @@ one.  ``repro serve`` boots a long-running local HTTP daemon
 * streams the observability trace live over a chunked
   ``GET /events`` endpoint while runs are in flight.
 
+:class:`ServeClient` (stdlib :mod:`http.client`) is its client.  Both
+ends keep HTTP/1.1 connections alive: a client thread sends all its
+requests on one connection, and :meth:`ServeDaemon.stop` (or
+``/shutdown``) closes every connection still open.
+
 Requests are isolated by construction: every submission builds a fresh
 :class:`~repro.experiments.scenarios.Scenario`, every run gets its own
 engine state, and every response echoes the content hash its rows were

@@ -4,7 +4,9 @@ One :class:`ServeDaemon` owns
 
 * a :class:`~http.server.ThreadingHTTPServer` (one handler thread per
   connection — cheap, since warm requests are sub-millisecond and cold
-  requests spend their time parked on a pool job),
+  requests spend their time parked on a pool job).  Connections are
+  HTTP/1.1 and stay open between requests; the daemon tracks them, so
+  :meth:`ServeDaemon.stop` closes them all and ``/stats`` counts them,
 * a :class:`~repro.serve.scheduler.WorkerPool` running cold cells,
 * the serving tier in :mod:`repro.experiments.cache` (enabled at boot),
 * a broadcast hub fanning live trace events to ``/events`` streamers.
@@ -15,14 +17,15 @@ API (all JSON):
 Method   Path           Semantics
 =======  =============  ====================================================
 GET      ``/healthz``   liveness probe: ``{"ok": true}``
-GET      ``/stats``     cache + pool + request counters
+GET      ``/stats``     cache + pool + request + connection counters
 POST     ``/run``       ``{"scenario": {...}, "policies": [...]}`` →
                         per-policy rows with serving tier and content hash;
                         ``400`` on malformed requests, ``429`` +
                         ``Retry-After`` under backpressure
 GET      ``/events``    live trace stream, chunked NDJSON; query params
                         ``max`` (close after N events) and ``timeout_s``
-POST     ``/shutdown``  graceful stop (drain pool, close listener)
+POST     ``/shutdown``  graceful stop (close listener and connections,
+                        drain pool); the response closes its connection
 =======  =============  ====================================================
 
 Isolation: every request materializes its own scenario and every cold
@@ -36,6 +39,7 @@ from __future__ import annotations
 
 import json
 import queue
+import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -118,6 +122,16 @@ class _Handler(BaseHTTPRequestHandler):
 
     # -- plumbing -------------------------------------------------------------
 
+    def setup(self) -> None:
+        super().setup()
+        self.daemon._opened(self.connection)
+
+    def finish(self) -> None:
+        try:
+            super().finish()
+        finally:
+            self.daemon._closed(self.connection)
+
     def log_message(self, fmt, *args):  # noqa: D102 — silence stderr spam
         if self.daemon.verbose:
             super().log_message(fmt, *args)
@@ -129,18 +143,33 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         for name, value in dict(headers or {}).items():
             self.send_header(name, value)
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
-    def _read_body(self) -> dict:
-        length = int(self.headers.get("Content-Length", 0) or 0)
-        raw = self.rfile.read(length) if length else b""
-        if not raw:
-            return {}
+    def _read_body(self) -> bytes:
+        """Read the whole request body, before any routing.
+
+        Unread body bytes would be parsed as the next request on a
+        kept-alive connection, so until the read completes the
+        connection closes after its response.
+        """
+        close_after = self.close_connection
+        self.close_connection = True
+        if "Transfer-Encoding" in self.headers:
+            raise ProtocolError("send the body with a Content-Length")
         try:
-            return json.loads(raw)
-        except ValueError as exc:
-            raise ProtocolError(f"body is not valid JSON: {exc}") from exc
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            length = -1
+        if length < 0:
+            raise ProtocolError("bad Content-Length")
+        raw = self.rfile.read(length) if length else b""
+        if len(raw) < length:
+            raise ProtocolError("body shorter than its Content-Length")
+        self.close_connection = close_after
+        return raw
 
     # -- routes ---------------------------------------------------------------
 
@@ -158,9 +187,11 @@ class _Handler(BaseHTTPRequestHandler):
     def do_POST(self) -> None:  # noqa: N802
         url = urlparse(self.path)
         try:
+            body = self._read_body()
             if url.path == "/run":
-                self._run()
+                self._run(body)
             elif url.path == "/shutdown":
+                self.close_connection = True
                 self._json(200, {"ok": True, "stopping": True})
                 threading.Thread(
                     target=self.daemon.stop, daemon=True
@@ -185,12 +216,16 @@ class _Handler(BaseHTTPRequestHandler):
 
     # -- /run -----------------------------------------------------------------
 
-    def _run(self) -> None:
+    def _run(self, body: bytes) -> None:
         t0 = time.perf_counter()
         daemon = self.daemon
         daemon.count("requests")
         perf.add("serve.requests")
-        scenario, policies = parse_run_request(self._read_body())
+        try:
+            obj = json.loads(body) if body else {}
+        except ValueError as exc:
+            raise ProtocolError(f"body is not valid JSON: {exc}") from exc
+        scenario, policies = parse_run_request(obj)
 
         results = []
         cold: list[tuple[str, str, object]] = []
@@ -314,6 +349,10 @@ class ServeDaemon:
         self.broadcast = _Broadcast()
         self._counters: dict[str, int] = {}
         self._counters_lock = threading.Lock()
+        #: Open handler connections; ``None`` once :meth:`stop` began.
+        self._conns: Optional[set[socket.socket]] = set()
+        self._accepted = 0
+        self._conns_lock = threading.Lock()
         self._started_at = time.time()
         handler = type("_BoundHandler", (_Handler,), {"daemon": self})
         self.httpd = ThreadingHTTPServer((host, port), handler)
@@ -355,9 +394,14 @@ class ServeDaemon:
         return self
 
     def stop(self, timeout: float = 5.0) -> None:
-        """Graceful stop: close the listener, drain the worker pool."""
+        """Graceful stop: close the listener and every open connection,
+        so no request is answered after it, then drain the worker pool."""
         self.httpd.shutdown()
         self.httpd.server_close()
+        with self._conns_lock:
+            conns, self._conns = self._conns or set(), None
+        for conn in conns:
+            _hang_up(conn)
         self.pool.shutdown(timeout=timeout)
         cache.disable_serve_tier()
         if self._thread is not None:
@@ -366,6 +410,19 @@ class ServeDaemon:
 
     # -- bookkeeping ----------------------------------------------------------
 
+    def _opened(self, conn: socket.socket) -> None:
+        with self._conns_lock:
+            self._accepted += 1
+            if self._conns is not None:
+                self._conns.add(conn)
+                return
+        _hang_up(conn)  # accepted while stopping
+
+    def _closed(self, conn: socket.socket) -> None:
+        with self._conns_lock:
+            if self._conns is not None:
+                self._conns.discard(conn)
+
     def count(self, name: str, n: int = 1) -> None:
         with self._counters_lock:
             self._counters[name] = self._counters.get(name, 0) + n
@@ -373,10 +430,25 @@ class ServeDaemon:
     def stats(self) -> dict:
         with self._counters_lock:
             counters = dict(self._counters)
+        with self._conns_lock:
+            connections = {
+                "accepted": self._accepted,
+                "open": len(self._conns or ()),
+            }
         return {
             "uptime_s": self.uptime_s,
             "requests": counters,
+            "connections": connections,
             "streamers": self.broadcast.streamers(),
             "pool": self.pool.stats(),
             "cache": cache.stats(),
         }
+
+
+def _hang_up(conn: socket.socket) -> None:
+    """End both directions of a handler connection: its thread reads EOF
+    and exits, and the peer reads EOF instead of another response."""
+    try:
+        conn.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass  # the peer already went away

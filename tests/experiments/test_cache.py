@@ -15,6 +15,7 @@ from repro.experiments import cache
 from repro.experiments.runner import SweepRow
 from repro.experiments.scenarios import run_policy
 from repro.util import perf
+from repro.validate import invariants as _validate
 
 
 def quick_scenario(**overrides) -> Scenario:
@@ -27,8 +28,12 @@ def quick_scenario(**overrides) -> Scenario:
 def _enabled_cache(monkeypatch):
     """These tests exercise the cache, so force it on regardless of the
     ambient REPRO_CACHE (the per-test directory comes from conftest).
-    Perf counters are process-global, so start each test from zero."""
+    Validated cells bypass the cache by design, so an ambient
+    REPRO_VALIDATE=1 is scoped off too; ``TestBypass`` turns it on where
+    it checks that contract.  Perf counters are process-global, so start
+    each test from zero."""
     monkeypatch.setattr(cache, "_enabled", True)
+    monkeypatch.setattr(_validate, "_enabled", False)
     perf.reset()
     yield
     perf.reset()
@@ -210,6 +215,32 @@ class TestBypass:
         row = cache.run_cell(quick_scenario(), "local")
         assert isinstance(row, SweepRow)
         assert cache.stats()["entries"] == 0
+
+    def test_validated_cell_is_simulated_and_never_stored(self, monkeypatch):
+        """A hit would skip the checked run, so under the invariant
+        checker every cell is simulated, nothing is stored, and the warm
+        path answers nothing, even for a stored cell."""
+        from repro.experiments import runner
+
+        simulated = []
+        real = runner._simulate
+
+        def counting(cells):
+            simulated.extend(cells)
+            return real(cells)
+
+        monkeypatch.setattr(runner, "_simulate", counting)
+        scenario = quick_scenario()
+        with _validate.checking():
+            checked = cache.run_cell(scenario, "local")
+            assert cache.serve_lookup(scenario, "local") is None
+        assert cache.stats()["entries"] == 0
+        assert cache.run_cell(scenario, "local") == checked  # now stored
+        with _validate.checking():
+            assert cache.serve_lookup(scenario, "local") is None
+            assert cache.run_cell(scenario, "local") == checked
+        assert simulated == [(scenario, "local")] * 3
+        assert cache.stats()["entries"] == 1
 
 
 class TestMaintenance:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.core.policies import POLICY_NAMES
@@ -103,6 +105,9 @@ class TestRowPayload:
             constraint_met=True,
             vms_peak=3,
             adaptations=0,
+            mean_recovery_s=None,
         )
         payload = row_payload(row)
         assert SweepRow(**payload) == row
+        # The flat payload is asdict's, key order included.
+        assert list(payload.items()) == list(dataclasses.asdict(row).items())

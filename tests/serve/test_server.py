@@ -8,8 +8,12 @@ cross-request leaks.
 from __future__ import annotations
 
 import dataclasses
+import http.client
 import json
+import socket
+import sys
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -32,7 +36,8 @@ def daemon():
 
 @pytest.fixture
 def client(daemon):
-    return ServeClient(daemon.url)
+    with ServeClient(daemon.url) as c:
+        yield c
 
 
 def oracle_row(scenario_kwargs: dict, policy: str) -> dict:
@@ -65,6 +70,13 @@ class TestEndpoints:
         with pytest.raises(ServerError) as exc_info:
             client._request("POST", "/nope", {})
         assert exc_info.value.status == 404
+
+    def test_base_url_path_prefix_is_kept(self, daemon):
+        with ServeClient(daemon.url + "/api/") as client:
+            with pytest.raises(ServerError) as exc_info:
+                client.health()
+        assert exc_info.value.status == 404
+        assert exc_info.value.detail == "no such endpoint: /api/healthz"
 
     def test_unknown_scenario_field_400(self, daemon, client):
         with pytest.raises(ServerError) as exc_info:
@@ -258,7 +270,21 @@ class TestStreaming:
         assert len(events) >= 50
 
 
+def _raw(daemon) -> http.client.HTTPConnection:
+    return http.client.HTTPConnection(daemon.host, daemon.port, timeout=10)
+
+
+def _get(conn: http.client.HTTPConnection, path: str):
+    conn.request("GET", path)
+    resp = conn.getresponse()
+    resp.read()
+    return resp
+
+
 class TestKeepAlive:
+    """One connection carries many requests, and the daemon keeps its
+    side of each connection in step with the client's."""
+
     def test_keep_alive_requests_do_not_stall(self, daemon):
         """20 requests on one keep-alive connection: without TCP_NODELAY
         each response waits on the client's delayed ACK (~40 ms)."""
@@ -277,6 +303,162 @@ class TestKeepAlive:
         finally:
             conn.close()
         assert elapsed < 0.5, f"20 keep-alive requests took {elapsed:.2f} s"
+
+    def test_post_to_unknown_path_reads_its_body(self, daemon):
+        """The 404's body bytes must not be parsed as the next request."""
+        conn = _raw(daemon)
+        try:
+            conn.request("POST", "/nope", body=json.dumps({"scenario": {}}))
+            resp = conn.getresponse()
+            resp.read()
+            assert resp.status == 404
+            assert not resp.will_close
+            assert _get(conn, "/healthz").status == 200
+        finally:
+            conn.close()
+
+    def test_unread_body_closes_the_connection(self, daemon):
+        conn = _raw(daemon)
+        try:
+            conn.request(
+                "POST", "/run", body=b"{}", headers={"Content-Length": "x"}
+            )
+            resp = conn.getresponse()
+            resp.read()
+            assert resp.status == 400
+            assert resp.getheader("Connection") == "close"
+        finally:
+            conn.close()
+
+    def test_stop_closes_kept_alive_connections(self, daemon):
+        """No request is answered after stop(), not even on connections
+        opened before it."""
+        probe, cold = _raw(daemon), _raw(daemon)
+        try:
+            assert _get(probe, "/healthz").status == 200
+            assert _get(cold, "/stats").status == 200
+            daemon.stop()
+            with pytest.raises((http.client.HTTPException, ConnectionError)):
+                _get(probe, "/healthz")
+            with pytest.raises((http.client.HTTPException, ConnectionError)):
+                cold.request("POST", "/run", body=json.dumps(
+                    {"scenario": dict(SCENARIO, seed=41)}))
+                cold.getresponse().read()
+        finally:
+            probe.close()
+            cold.close()
+
+    def test_shutdown_response_closes_its_connection(self):
+        daemon = ServeDaemon(workers=1, queue_depth=4).start()
+        conn = _raw(daemon)
+        try:
+            conn.request("POST", "/shutdown")
+            resp = conn.getresponse()
+            assert json.loads(resp.read())["stopping"] is True
+            assert resp.getheader("Connection") == "close"
+            assert resp.will_close
+            assert daemon._stopped.wait(10)
+        finally:
+            conn.close()
+            daemon.stop()
+
+
+def _open_connections(daemon, want: int, timeout: float = 5.0) -> int:
+    """The daemon's open-connection count, once it reaches ``want`` (a
+    handler sees its peer hang up only when its read returns)."""
+    deadline = time.monotonic() + timeout
+    while True:
+        n = daemon.stats()["connections"]["open"]
+        if n == want or time.monotonic() >= deadline:
+            return n
+        time.sleep(0.01)
+
+
+class TestConnectionReuse:
+    def test_sequential_runs_share_one_connection(self, daemon, client):
+        for _ in range(50):
+            assert client.run(SCENARIO)["results"][0]["row"]["seed"] == 5
+        assert client.stats()["connections"] == {"accepted": 1, "open": 1}
+
+    def test_dead_connection_is_retried_once_on_a_fresh_one(
+        self, daemon, client
+    ):
+        key = client.run(SCENARIO)["results"][0]["key"]
+        daemon.stop()
+        restarted = ServeDaemon(port=daemon.port, workers=1).start()
+        try:
+            # The kept connection died with the first daemon: the request
+            # is sent once more, on a fresh connection, and succeeds.
+            assert client.run(SCENARIO)["results"][0]["key"] == key
+            assert restarted.stats()["connections"]["accepted"] == 1
+        finally:
+            restarted.stop()
+        # A request that fails on its fresh connection raises.
+        with pytest.raises(ConnectionError):
+            client.health()
+
+    def test_failure_on_a_fresh_connection_is_not_retried(self):
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            listener.settimeout(10)
+
+            def hang_up_once():
+                conn, _ = listener.accept()
+                conn.close()
+
+            server = threading.Thread(target=hang_up_once)
+            server.start()
+            host, port = listener.getsockname()
+            with pytest.raises(ConnectionError):
+                ServeClient(f"http://{host}:{port}", timeout=10).health()
+            server.join(10)
+            assert not server.is_alive()
+            # A retry would have connected before the client raised.
+            listener.settimeout(0.2)
+            with pytest.raises(TimeoutError):
+                listener.accept()
+
+    def test_threads_sharing_a_client_send_on_their_own_connections(
+        self, daemon, client
+    ):
+        """8 threads (more than the cores) share one client under a
+        short switch interval: every response answers its own thread's
+        scenario, and the client opens at most one connection each."""
+        scenarios = [dict(SCENARIO, rate=2.0 + 0.5 * i) for i in range(8)]
+        keys = [client.run(s)["results"][0]["key"] for s in scenarios]
+        answered: list[int] = []
+        failures: list[str] = []
+
+        def drive(i: int) -> None:
+            for _ in range(25):
+                (result,) = client.run(scenarios[i])["results"]
+                if (
+                    result["key"] != keys[i]
+                    or result["row"]["rate"] != scenarios[i]["rate"]
+                ):
+                    failures.append(f"thread {i} got {result['key']}")
+                answered.append(i)
+
+        threads = [threading.Thread(target=drive, args=(i,)) for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not failures, failures[:3]
+        assert len(answered) == 8 * 25
+        assert daemon.stats()["connections"]["accepted"] <= 8
+
+    def test_close_closes_the_idle_connections(self, daemon):
+        with ServeClient(daemon.url) as client:
+            client.run(SCENARIO)
+            assert client.health()["ok"]
+            assert _open_connections(daemon, 1) == 1
+        assert _open_connections(daemon, 0) == 0
 
 
 class TestIsolation:
