@@ -50,7 +50,8 @@ Service-mode knobs (``repro serve``; flags take precedence):
     Bounded submission queue depth; a full queue is answered with
     ``429`` + ``Retry-After`` (default 32).
 ``REPRO_SERVE_LRU``
-    In-memory serving LRU capacity in entries (default 512).
+    In-memory serving LRU capacity in entries (default 512).  It bounds
+    the daemon's memo of parsed request bodies too; 0 turns both off.
 ``REPRO_SERVE_TIMEOUT_S``
     Per-request wait bound on cold cells (default 600).
 """
@@ -227,8 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="bounded cold queue depth; overflow is 429 "
                               "(default: REPRO_SERVE_QUEUE)")
     serve_p.add_argument("--lru", type=int, default=None, metavar="N",
-                         help="serving-LRU capacity in entries "
-                              "(default: REPRO_SERVE_LRU)")
+                         help="serving-LRU and request-memo capacity in "
+                              "entries (default: REPRO_SERVE_LRU)")
     serve_p.add_argument("--verbose", action="store_true",
                          help="log every HTTP request to stderr")
 

@@ -63,7 +63,8 @@ Knobs (resolved per call, so tests can redirect freely):
     Size cap in MiB before oldest-first eviction (default 64).
 ``REPRO_SERVE_LRU``
     Serving-LRU capacity in entries when the tier is enabled
-    (default 512; 0 disables the tier even if enabled).
+    (default 512; 0 disables the tier even if enabled).  The serve
+    daemon bounds its request memo by the same capacity.
 
 Hits and misses are counted via :mod:`repro.util.perf` (``cache.hits`` /
 ``cache.misses``, plus ``cache.lru_hits`` / ``cache.delta_hits`` /
@@ -108,6 +109,7 @@ __all__ = [
     "serve_lookup",
     "gate",
     "run_cell",
+    "BoundedLRU",
     "enable_serve_tier",
     "disable_serve_tier",
     "serve_tier_enabled",
@@ -206,7 +208,7 @@ _pending_lock = threading.Lock()
 #: the manifest is advisory and self-corrects via rebuild/eviction.
 _manifest_lock = threading.RLock()
 
-_serve_lru: Optional["_ServeLRU"] = None
+_serve_lru: Optional["BoundedLRU"] = None
 
 
 def enable() -> None:
@@ -257,51 +259,57 @@ def _lru_capacity() -> int:
 # -- serving LRU --------------------------------------------------------------
 
 
-class _ServeLRU:
-    """Tiny thread-safe LRU of deserialized rows, keyed by content hash.
+class BoundedLRU:
+    """Tiny thread-safe LRU map holding at most ``capacity`` entries.
 
-    Rows are frozen dataclasses, so sharing one object across requests
-    is safe — there is no per-request state to leak.
+    The serving tier keys deserialized rows by content hash; the serve
+    daemon keys parsed request bodies by their bytes.  Every reader
+    shares the stored object, so values must be read-only: rows are
+    frozen dataclasses, with no per-request state to leak.
     """
 
     def __init__(self, capacity: int) -> None:
         self.capacity = int(capacity)
-        self._rows: "OrderedDict[str, SweepRow]" = OrderedDict()
+        self._items: OrderedDict = OrderedDict()
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._rows)
+            return len(self._items)
 
-    def get(self, key: str) -> Optional[SweepRow]:
+    def get(self, key):
+        """The value under ``key`` (now the most recent), or ``None``."""
         with self._lock:
-            row = self._rows.get(key)
-            if row is not None:
-                self._rows.move_to_end(key)
-            return row
+            value = self._items.get(key)
+            if value is not None:
+                self._items.move_to_end(key)
+            return value
 
-    def put(self, key: str, row: SweepRow) -> None:
+    def put(self, key, value) -> None:
+        """Store ``value`` as the most recent; evict the least recent
+        entries beyond the capacity."""
         with self._lock:
-            self._rows[key] = row
-            self._rows.move_to_end(key)
-            while len(self._rows) > self.capacity:
-                self._rows.popitem(last=False)
+            self._items[key] = value
+            self._items.move_to_end(key)
+            while len(self._items) > self.capacity:
+                self._items.popitem(last=False)
 
     def clear(self) -> None:
         with self._lock:
-            self._rows.clear()
+            self._items.clear()
 
 
-def enable_serve_tier(capacity: Optional[int] = None) -> None:
+def enable_serve_tier(capacity: Optional[int] = None) -> int:
     """Activate the in-memory serving LRU (``REPRO_SERVE_LRU`` entries).
 
     Off by default: the one-shot CLI runs cells once per process, so an LRU
     would only shadow the per-test/per-run cache directories.  The serve
-    daemon turns it on at boot.
+    daemon turns it on at boot.  Returns the capacity in force (0: off).
     """
     global _serve_lru
-    cap = _lru_capacity() if capacity is None else int(capacity)
-    _serve_lru = _ServeLRU(cap) if cap > 0 else None
+    cap = max(0, _lru_capacity() if capacity is None else int(capacity))
+    _serve_lru = BoundedLRU(cap) if cap else None
+    return cap
 
 
 def disable_serve_tier() -> None:

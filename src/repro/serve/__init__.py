@@ -20,8 +20,9 @@ ends keep HTTP/1.1 connections alive: a client thread sends all its
 requests on one connection, and :meth:`ServeDaemon.stop` (or
 ``/shutdown``) closes every connection still open.
 
-Requests are isolated by construction: every submission builds a fresh
-:class:`~repro.experiments.scenarios.Scenario`, every run gets its own
+Requests are isolated by construction: identical request bodies share
+one read-only :class:`~repro.experiments.scenarios.Scenario` (the daemon
+remembers each body's parse and content keys), every run gets its own
 engine state, and every response echoes the content hash its rows were
 served under — the load test asserts the hashes (and the rows) never
 bleed between concurrent clients.

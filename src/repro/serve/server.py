@@ -28,11 +28,23 @@ POST     ``/shutdown``  graceful stop (close listener and connections,
                         drain pool); the response closes its connection
 =======  =============  ====================================================
 
-Isolation: every request materializes its own scenario and every cold
-run owns its engine state, so concurrent clients cannot contaminate each
-other's rows (test-enforced bit-for-bit against isolated serial runs).
-The one process-global the server does share — the observability clock —
-only stamps *trace* timestamps, never row values.
+Warm requests skip parsing: the daemon remembers, per exact ``/run``
+body bytes, the scenario, policies and content keys that parsing the
+body produced.  Parsing is deterministic and the code fingerprint is
+fixed at boot, so a body's parse and keys hold for the daemon's
+lifetime.  The memo is bounded like the serving LRU (``REPRO_SERVE_LRU``
+entries, least recently used first out, 0 = no memo), and ``/stats``
+counts its hits as ``memo_hits``.  A body it has not seen, or one that
+failed to parse, takes the full path, and only bodies that parsed and
+hashed are remembered.
+
+Isolation: requests with identical bodies share one read-only scenario
+(as a sweep shares one across its policies), every cold run owns its
+engine state, and no run writes to its scenario, so concurrent clients
+cannot contaminate each other's rows (test-enforced bit-for-bit against
+isolated serial runs).  The one process-global the server does share —
+the observability clock — only stamps *trace* timestamps, never row
+values.
 """
 
 from __future__ import annotations
@@ -47,6 +59,7 @@ from typing import Optional
 from urllib.parse import parse_qs, urlparse
 
 from ..experiments import cache
+from ..experiments.scenarios import Scenario
 from ..obs import collector as _trace
 from ..util import perf
 from .protocol import ProtocolError, parse_run_request, row_payload
@@ -55,6 +68,11 @@ from .scheduler import QueueFull, WorkerPool
 __all__ = ["ServeDaemon"]
 
 _DEFAULT_COLD_TIMEOUT_S = 600.0
+
+#: Larger ``/run`` bodies are parsed every time: the memo bounds its
+#: entry count, so each entry's size must be bounded too.  A request
+#: setting every scenario field and naming every policy is under 1 KiB.
+_MEMO_MAX_BODY = 4096
 
 
 def _env_float(name: str, default: float) -> float:
@@ -221,16 +239,11 @@ class _Handler(BaseHTTPRequestHandler):
         daemon = self.daemon
         daemon.count("requests")
         perf.add("serve.requests")
-        try:
-            obj = json.loads(body) if body else {}
-        except ValueError as exc:
-            raise ProtocolError(f"body is not valid JSON: {exc}") from exc
-        scenario, policies = parse_run_request(obj)
+        scenario, cells = daemon._parse_run(body)
 
         results = []
         cold: list[tuple[str, str, object]] = []
-        for policy in policies:
-            key = cache.cache_key(scenario, policy)
+        for policy, key in cells:
             warm = cache.serve_lookup(scenario, policy, key)
             if warm is not None:
                 row, tier = warm
@@ -251,7 +264,7 @@ class _Handler(BaseHTTPRequestHandler):
             daemon.count("cold_rows")
             results.append((policy, key, row, "cold"))
 
-        order = {p: i for i, p in enumerate(policies)}
+        order = {p: i for i, (p, _) in enumerate(cells)}
         results.sort(key=lambda r: order[r[0]])
         self._json(
             200,
@@ -335,7 +348,6 @@ class ServeDaemon:
         cold_timeout_s: Optional[float] = None,
         verbose: bool = False,
     ) -> None:
-        cache.enable_serve_tier(lru_capacity)
         # Key every row by the code this process imported, not by
         # whatever is on disk at its first request.
         cache.code_fingerprint()
@@ -345,7 +357,6 @@ class ServeDaemon:
             if cold_timeout_s is not None
             else _env_float("REPRO_SERVE_TIMEOUT_S", _DEFAULT_COLD_TIMEOUT_S)
         )
-        self.pool = WorkerPool(workers=workers, queue_depth=queue_depth)
         self.broadcast = _Broadcast()
         self._counters: dict[str, int] = {}
         self._counters_lock = threading.Lock()
@@ -354,11 +365,17 @@ class ServeDaemon:
         self._accepted = 0
         self._conns_lock = threading.Lock()
         self._started_at = time.time()
+        self._thread: Optional[threading.Thread] = None
+        self._stopped = threading.Event()
+        # Bind before starting anything: a busy port raises here, with
+        # no worker running and the serving tier as it was.
         handler = type("_BoundHandler", (_Handler,), {"daemon": self})
         self.httpd = ThreadingHTTPServer((host, port), handler)
         self.httpd.daemon_threads = True
-        self._thread: Optional[threading.Thread] = None
-        self._stopped = threading.Event()
+        self.pool = WorkerPool(workers=workers, queue_depth=queue_depth)
+        capacity = cache.enable_serve_tier(lru_capacity)
+        #: Exact ``/run`` body bytes → (scenario, ((policy, key), ...)).
+        self._memo = cache.BoundedLRU(capacity) if capacity else None
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -422,6 +439,31 @@ class ServeDaemon:
         with self._conns_lock:
             if self._conns is not None:
                 self._conns.discard(conn)
+
+    def _parse_run(self, body: bytes) -> tuple[Scenario, tuple]:
+        """A ``/run`` body's scenario and its ``(policy, key)`` pairs.
+
+        A remembered body skips decoding, validation and hashing; any
+        other body is parsed, and remembered once it parsed and hashed
+        without error.  Raises :class:`ProtocolError` on a bad body.
+        """
+        memo = self._memo if len(body) <= _MEMO_MAX_BODY else None
+        if memo is not None:
+            parsed = memo.get(body)
+            if parsed is not None:
+                self.count("memo_hits")
+                return parsed
+        try:
+            obj = json.loads(body) if body else {}
+        except ValueError as exc:
+            raise ProtocolError(f"body is not valid JSON: {exc}") from exc
+        scenario, policies = parse_run_request(obj)
+        parsed = scenario, tuple(
+            (policy, cache.cache_key(scenario, policy)) for policy in policies
+        )
+        if memo is not None:
+            memo.put(body, parsed)
+        return parsed
 
     def count(self, name: str, n: int = 1) -> None:
         with self._counters_lock:

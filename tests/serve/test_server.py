@@ -19,6 +19,7 @@ import urllib.request
 
 import pytest
 
+from repro.experiments import cache
 from repro.experiments.runner import SweepRow
 from repro.experiments.scenarios import Scenario, run_policy
 from repro.obs import collector as _trace
@@ -94,6 +95,7 @@ class TestEndpoints:
         )
         with pytest.raises(urllib.error.HTTPError) as exc_info:
             urllib.request.urlopen(req, timeout=10)
+        exc_info.value.close()  # the error holds the response's socket
         assert exc_info.value.code == 400
 
 
@@ -480,23 +482,23 @@ class TestIsolation:
         failures: list[str] = []
 
         def drive(worker_id: int):
-            local = ServeClient(daemon.url)
             # Each client interleaves the cells in a different order and
             # hits every cell twice (cold-ish pass, then warm pass).
             cells = self.CELLS[worker_id:] + self.CELLS[:worker_id]
-            for kw, policy in cells * 2:
-                try:
-                    resp = local.run(kw, [policy], retries=20)
-                except ServerBusy:
-                    failures.append("backpressure never drained")
-                    return
-                got = resp["results"][0]["row"]
-                want = oracle[json.dumps((kw, policy), sort_keys=True)]
-                if got != want:
-                    failures.append(
-                        f"leak in {policy}@rate={kw['rate']},seed="
-                        f"{kw['seed']}: {got} != {want}"
-                    )
+            with ServeClient(daemon.url) as local:
+                for kw, policy in cells * 2:
+                    try:
+                        resp = local.run(kw, [policy], retries=20)
+                    except ServerBusy:
+                        failures.append("backpressure never drained")
+                        return
+                    got = resp["results"][0]["row"]
+                    want = oracle[json.dumps((kw, policy), sort_keys=True)]
+                    if got != want:
+                        failures.append(
+                            f"leak in {policy}@rate={kw['rate']},seed="
+                            f"{kw['seed']}: {got} != {want}"
+                        )
 
         threads = [
             threading.Thread(target=drive, args=(i,)) for i in range(4)
@@ -505,8 +507,10 @@ class TestIsolation:
             t.start()
         for t in threads:
             t.join(600)
+        assert not any(t.is_alive() for t in threads)
         assert not failures, failures[:3]
-        stats = ServeClient(daemon.url).stats()
+        with ServeClient(daemon.url) as client:
+            stats = client.stats()
         assert "errors" not in stats["requests"]
         # Clients racing the same cold cell may each simulate it (the
         # cache dedupes storage, not in-flight work), but each client
@@ -524,3 +528,32 @@ class TestShutdown:
         assert daemon._stopped.is_set()
         with pytest.raises((urllib.error.URLError, ServerError, OSError)):
             client.health()
+
+
+def _workers() -> set[threading.Thread]:
+    return {
+        t
+        for t in threading.enumerate()
+        if t.name.startswith("repro-serve-worker-")
+    }
+
+
+class TestBoot:
+    def test_failed_bind_starts_nothing(self):
+        """A busy port fails the constructor before any worker starts or
+        the process-global serving tier changes."""
+        tier_was_on = cache.serve_tier_enabled()
+        before = _workers()
+        with socket.create_server(("127.0.0.1", 0)) as busy:
+            port = busy.getsockname()[1]
+            try:
+                for _ in range(3):
+                    with pytest.raises(OSError):
+                        ServeDaemon(port=port, workers=2)
+                leaked = _workers() - before
+                assert cache.serve_tier_enabled() == tier_was_on
+            finally:
+                if not tier_was_on:
+                    cache.disable_serve_tier()
+        assert not leaked, sorted(t.name for t in leaked)
+
