@@ -20,20 +20,19 @@ The mechanics that make that possible:
   pairwise grouping,
 * padded lanes are constructed inert: allocations/speeds/selectivities
   pad with 0, costs with 1, ready times with ``+inf``, network budgets
-  with ``inf``; padded edge rows carry zero egress and padded
-  input/edge scatter indices point at a per-cell dummy arrival row
-  that is never read,
+  with ``inf``; padded edges carry no egress and padded inputs a zero
+  rate, so neither ever scatters into a queue,
 * elementwise operations keep the serial operand order and grouping
   (``(units / cost) * dt``, ``(gain · rate) * dt``, …) — identical
   inputs through identical float ops give identical outputs,
-* phase 1 of the tick (coefficients, ready mask, effective speeds,
-  capacities, routing shares) is not mirrored but shared: the pack runs
-  the serial tick's :class:`~repro.engine.executor._SpeedPhase` over
-  its stacked arrays, with the same reuse rule, cleared at every pack,
-* the rare scalar paths (migration release, unhosted holding buffers,
-  network refresh, fleets with zero VMs) run per cell through the
-  *same* :class:`~repro.engine.executor.FluidExecutor` helpers, which
-  read and write stacked state through per-cell array views,
+* the tick is not mirrored but shared: the pack runs the serial tick's
+  phase 1, :class:`~repro.engine.executor._SpeedPhase` (same reuse
+  rule, cleared at every pack), and its phases 0 and 2–5,
+  :func:`~repro.engine.executor._flow_phases`, over its stacked arrays.
+  Each column's scalar work (migration release, unhosted holding
+  buffers, network refresh) runs on the column's own executor, whose
+  buffers are views of the column; cells with zero VMs take the
+  executor's own idle tick,
 * the run lifecycle is not replayed but shared: each cell deploys
   through :meth:`RunManager.begin`, each interval boundary pins the
   cell's private clock and calls :meth:`RunManager.close_interval`
@@ -45,8 +44,9 @@ Macro-stepping (S24) is evaluated column-wise: each cell's own
 :meth:`~repro.engine.executor.FluidExecutor._macro_change_cap` bounds
 the jump, stationarity is classified per column from bitwise snapshots,
 and the batch jumps only when **every** column proves a window —
-replaying the recorded per-tick increments with the same repeated
-``+=`` and the same three-op drift recurrence as the serial engine.
+replaying the recorded :class:`~repro.engine.executor._TickRecord`
+through the serial engine's helper, with the same three-op drift
+recurrence.
 
 Failure injection is out of scope (the failure driver is a foreign
 kernel process that rebuilds fleets mid-interval, while the batch packs
@@ -68,7 +68,9 @@ import numpy as np
 from ..obs import collector as _obs
 from ..util import perf
 from ..validate import invariants as _validate
-from .executor import _EPS, _CoefGroup, _macro_default, _seqsum, _SpeedPhase
+from .executor import (
+    _CoefGroup, _flow_phases, _macro_default, _SpeedPhase, _TickRecord,
+)
 from .manager import RunManager, RunResult, RunState
 # Unused here (the run lifecycle reconciles through ``repro.engine.manager``),
 # but ``benchmarks/suite/spans.py`` patches this name, so it must resolve.
@@ -82,7 +84,7 @@ class _Cell:
 
     __slots__ = (
         "manager", "run", "env", "ex", "rate_key", "input_names",
-        "group", "col", "P", "V", "E", "I", "O", "backoff", "last_deliv",
+        "group", "col", "P", "V", "E", "I", "O", "backoff", "last",
     )
 
     def __init__(
@@ -95,7 +97,8 @@ class _Cell:
         self.rate_key = rate_key
         self.input_names = tuple(manager.dataflow.inputs)
         self.backoff = -math.inf
-        self.last_deliv: Optional[np.ndarray] = None
+        #: This cell's last tick while it has no fleet.
+        self.last: Optional[_TickRecord] = None
         # The batch drives the clock itself, so no tick process starts:
         # open the checker's ledger here instead of in executor.start().
         if _validate.enabled():
@@ -114,41 +117,24 @@ class _RateGroup:
         self.vals: list[float] = []
 
 
-class _TickRecord:
-    """One probe tick's increments, replayed verbatim during a jump."""
-
-    __slots__ = ("ext", "deliv", "arr", "proc", "delv",
-                 "arrivals", "caps", "served")
-
-    def __init__(self, ext, deliv, arr, proc, delv, arrivals, caps, served):
-        self.ext = ext
-        self.deliv = deliv
-        self.arr = arr
-        self.proc = proc
-        self.delv = delv
-        self.arrivals = arrivals
-        self.caps = caps
-        self.served = served
-
-
 class _Pack:
     """The stacked state for one adaptation interval (one *epoch*).
 
     Rebuilt at every interval boundary: reconciliation can resize any
     cell's fleet, so the batch width and the per-cell views are only
-    stable between boundaries.
+    stable between boundaries.  The arrays the tick phases read carry
+    the executor's field names (see
+    :func:`~repro.engine.executor._flow_phases`).
     """
 
     __slots__ = (
-        "cols", "v0", "states", "C", "Pmax", "Vmax", "Emax", "Imax",
-        "Omax", "tick", "alloc", "backlog", "egress", "budget",
-        "core_speed", "ready_time", "cost", "selectivity", "gain_simple",
-        "gain_col", "edge_factors", "edge_flat", "in_flat", "acc_ext",
-        "acc_deliv", "acc_arr", "acc_proc", "acc_del", "rate_groups",
-        "coef_groups", "coef_scalar", "mig_watch", "unhosted_watch",
-        "gate_at", "input_pe_flat", "edge_dst_flat", "edge_src_flat",
-        "output_flat", "in_flat_ravel", "refresh_at", "next_refresh",
-        "speed",
+        "cols", "v0", "states", "columns", "C", "Pmax", "Vmax", "Imax",
+        "tick", "alloc", "core_speed", "ready_time", "cost",
+        "rate_groups", "coef_groups", "coef_scalar", "gate_at", "speed",
+        "_backlog", "_egress", "_remote_budget", "_selectivity",
+        "_gain", "_edge_factors", "_input_idx", "_edge_src", "_edge_dst",
+        "_output_idx", "_acc_external", "_acc_deliverable",
+        "_acc_arrivals", "_acc_processed", "_acc_delivered",
     )
 
 
@@ -266,8 +252,8 @@ class BatchRunner:
 
     def _pack(self, states: list[_Cell], tick: float) -> _Pack:
         """Stack per-cell state into (C, …) arrays and alias the cells'
-        mutable buffers to per-cell views, so the scalar helpers
-        (_deposit, unhosted drains, _refresh_network) write through.
+        mutable buffers to per-cell views, so each column's scalar work
+        (_deposit, _refresh_network) writes through.
 
         Repacking is incremental across epochs: a cell's stacked rows
         only go stale when the executor rebuilds its fleet arrays (a
@@ -314,8 +300,9 @@ class BatchRunner:
             ]
             # The interval accumulators restart from zero, as every
             # executor's did in roll_interval at the boundary just crossed.
-            for acc in (pack.acc_ext, pack.acc_deliv, pack.acc_arr,
-                        pack.acc_proc, pack.acc_del):
+            for acc in (pack._acc_external, pack._acc_deliverable,
+                        pack._acc_arrivals, pack._acc_processed,
+                        pack._acc_delivered):
                 acc.fill(0.0)
             if perf.enabled():
                 perf.add("batch.pack_reuses")
@@ -328,12 +315,6 @@ class BatchRunner:
         if changed:
             self._pack_coefs(pack, cols)
         pack.gate_at = max(st.backoff for st in states)
-        pack.mig_watch = {st.col for st in cols if st.ex._migrating}
-        pack.unhosted_watch = {st.col for st in cols if st.ex._unhosted}
-        # Per-cell network refresh deadlines, mirrored out of the
-        # executors so the per-tick check is one scalar comparison.
-        pack.refresh_at = np.array([st.ex._next_net_refresh for st in cols])
-        pack.next_refresh = float(pack.refresh_at.min(initial=np.inf))
         # Columns may have changed in place: phase 1 starts afresh.
         pack.speed = self._speed_phase(pack)
         if perf.enabled():
@@ -354,6 +335,7 @@ class BatchRunner:
         pack.tick = tick
         pack.cols = cols
         pack.v0 = v0
+        pack.columns = {(c,): st.ex for c, st in enumerate(cols)}
         C = pack.C = len(cols)
 
         groups: dict[Hashable, _RateGroup] = {}
@@ -374,39 +356,33 @@ class BatchRunner:
 
         Pmax = pack.Pmax = max((st.P for st in cols), default=0)
         Vmax = pack.Vmax = max((st.V for st in cols), default=0)
-        Emax = pack.Emax = max((st.E for st in cols), default=0)
+        Emax = max((st.E for st in cols), default=0)
         Imax = pack.Imax = max((st.I for st in cols), default=0)
-        Omax = pack.Omax = max((st.O for st in cols), default=0)
+        Omax = max((st.O for st in cols), default=0)
         pack.alloc = np.zeros((C, Pmax, Vmax))
-        pack.backlog = np.zeros((C, Pmax, Vmax))
-        pack.egress = np.zeros((C, Emax, Vmax))
-        pack.budget = np.full((C, Emax, Vmax), np.inf)
+        pack._backlog = np.zeros((C, Pmax, Vmax))
+        pack._egress = np.zeros((C, Emax, Vmax))
+        pack._remote_budget = np.full((C, Emax, Vmax), np.inf)
         pack.core_speed = np.zeros((C, Vmax))
         pack.ready_time = np.full((C, Vmax), np.inf)
         pack.cost = np.ones((C, Pmax, 1))
-        pack.selectivity = np.zeros((C, Pmax, 1))
-        pack.edge_factors = np.zeros((C, Emax, 1))
+        pack._selectivity = np.zeros((C, Pmax, 1))
+        pack._gain = np.zeros((C, Omax, Imax))
+        pack._edge_factors = np.zeros((C, Emax, 1))
         # PE indices are flattened rows: one fancy index into a
         # ``(C·Pmax, Vmax)`` view beats a two-array advanced index.
-        # Gather rows pad with the cell's first row (the gathered values
-        # are masked); scatter rows pad with the cell's dummy arrival row
-        # (row Pmax of its ``Pmax + 1``), whose garbage is never read.
-        gather = np.arange(C)[:, None] * Pmax
-        dummy = np.arange(C)[:, None] * (Pmax + 1) + Pmax
-        pack.input_pe_flat = np.repeat(gather, Imax, axis=1)
-        pack.edge_dst_flat = np.repeat(gather, Emax, axis=1)
-        pack.edge_src_flat = np.repeat(gather, Emax, axis=1)
-        pack.output_flat = np.repeat(gather, Omax, axis=1)
-        pack.edge_flat = np.repeat(dummy, Emax, axis=1)
-        pack.in_flat = np.repeat(dummy, Imax, axis=1)
-        pack.in_flat_ravel = pack.in_flat.reshape(-1)  # a view
-        pack.acc_ext = np.zeros((C, Imax))
-        pack.acc_deliv = np.zeros((C, Omax))
-        pack.acc_arr = np.zeros((C, Pmax))
-        pack.acc_proc = np.zeros((C, Pmax))
-        pack.acc_del = np.zeros((C, Omax))
-        pack.gain_simple = all(st.I == 1 for st in cols)
-        pack.gain_col = np.zeros((C, Omax)) if pack.gain_simple else None
+        # Padding repeats the cell's first row (its first input's row
+        # for inputs, see _load_column).
+        rows = np.arange(C)[:, None] * Pmax
+        pack._input_idx = np.repeat(rows, Imax, axis=1)
+        pack._edge_dst = np.repeat(rows, Emax, axis=1)
+        pack._edge_src = np.repeat(rows, Emax, axis=1)
+        pack._output_idx = np.repeat(rows, Omax, axis=1)
+        pack._acc_external = np.zeros((C, Imax))
+        pack._acc_deliverable = np.zeros((C, Omax))
+        pack._acc_arrivals = np.zeros((C, Pmax))
+        pack._acc_processed = np.zeros((C, Pmax))
+        pack._acc_delivered = np.zeros((C, Omax))
         return pack
 
     def _pack_coefs(self, pack: _Pack, cols: list[_Cell]) -> None:
@@ -472,7 +448,7 @@ class BatchRunner:
 
         return _SpeedPhase(
             pack.alloc, pack.core_speed, pack.ready_time, pack.cost,
-            pack.coef_groups, fill, pack.edge_dst_flat, pack.input_pe_flat,
+            pack.coef_groups, fill, pack._edge_dst, pack._input_idx,
             "batch.speed_recomputes",
         )
 
@@ -488,33 +464,31 @@ class BatchRunner:
         egress = np.array(ex._egress)
         budget = np.array(ex._remote_budget)
         for plane, pad in (
-            (pack.alloc, 0.0), (pack.backlog, 0.0), (pack.egress, 0.0),
-            (pack.budget, np.inf), (pack.core_speed, 0.0),
+            (pack.alloc, 0.0), (pack._backlog, 0.0), (pack._egress, 0.0),
+            (pack._remote_budget, np.inf), (pack.core_speed, 0.0),
             (pack.ready_time, np.inf),
         ):
             plane[c].fill(pad)
         pack.alloc[c, :P, :V] = ex._alloc
-        pack.backlog[c, :P, :V] = backlog
-        ex._backlog = pack.backlog[c, :P, :V]
-        pack.egress[c, :E, :V] = egress
-        ex._egress = pack.egress[c, :E, :V]
-        pack.budget[c, :E, :V] = budget
-        ex._remote_budget = pack.budget[c, :E, :V]
+        pack._backlog[c, :P, :V] = backlog
+        ex._backlog = pack._backlog[c, :P, :V]
+        pack._egress[c, :E, :V] = egress
+        ex._egress = pack._egress[c, :E, :V]
+        pack._remote_budget[c, :E, :V] = budget
+        ex._remote_budget = pack._remote_budget[c, :E, :V]
         pack.core_speed[c, :V] = ex._core_speed
         pack.ready_time[c, :V] = ex._ready_time
         pack.cost[c, :P] = ex._cost
-        pack.selectivity[c, :P] = ex._selectivity
-        if pack.gain_simple:
-            pack.gain_col[c, :O] = ex._gain[:, 0]
+        pack._selectivity[c, :P] = ex._selectivity
+        pack._gain[c, :O, :I] = ex._gain
         # Topology rows (static per executor).
-        gather, scatter = c * pack.Pmax, c * (pack.Pmax + 1)
-        pack.edge_factors[c, :E] = ex._edge_factors
-        pack.input_pe_flat[c, :I] = gather + ex._input_idx
-        pack.edge_dst_flat[c, :E] = gather + ex._edge_dst
-        pack.edge_src_flat[c, :E] = gather + ex._edge_src
-        pack.output_flat[c, :O] = gather + ex._output_idx
-        pack.edge_flat[c, :E] = scatter + ex._edge_dst
-        pack.in_flat[c, :I] = scatter + ex._input_idx
+        row = c * pack.Pmax
+        pack._edge_factors[c, :E] = ex._edge_factors
+        pack._input_idx[c, :I] = row + ex._input_idx
+        pack._input_idx[c, I:] = row + ex._input_idx[0]
+        pack._edge_dst[c, :E] = row + ex._edge_dst
+        pack._edge_src[c, :E] = row + ex._edge_src
+        pack._output_idx[c, :O] = row + ex._output_idx
 
     def _copy_out(self, pack: _Pack, st: _Cell) -> None:
         """Write a cell's stacked accumulators back into its executor
@@ -523,11 +497,11 @@ class BatchRunner:
             return
         c = st.col
         ex = st.ex
-        ex._acc_external[:] = pack.acc_ext[c, :st.I]
-        ex._acc_deliverable[:] = pack.acc_deliv[c, :st.O]
-        ex._acc_arrivals[:] = pack.acc_arr[c, :st.P]
-        ex._acc_processed[:] = pack.acc_proc[c, :st.P]
-        ex._acc_delivered[:] = pack.acc_del[c, :st.O]
+        ex._acc_external[:] = pack._acc_external[c, :st.I]
+        ex._acc_deliverable[:] = pack._acc_deliverable[c, :st.O]
+        ex._acc_arrivals[:] = pack._acc_arrivals[c, :st.P]
+        ex._acc_processed[:] = pack._acc_processed[c, :st.P]
+        ex._acc_delivered[:] = pack._acc_delivered[c, :st.O]
 
     # -- the batched tick -----------------------------------------------------
 
@@ -583,8 +557,8 @@ class BatchRunner:
     def _snapshot(self, pack: _Pack) -> tuple:
         """Bitwise pre-tick image of the mutable fluid state."""
         return (
-            pack.backlog.copy(),
-            pack.egress.copy(),
+            pack._backlog.copy(),
+            pack._egress.copy(),
             [(dict(st.ex._unhosted), list(st.ex._migrating))
              for st in pack.cols],
         )
@@ -593,7 +567,7 @@ class BatchRunner:
         self,
         pack: _Pack,
         snap: tuple,
-        rec: _TickRecord,
+        rec: Optional[_TickRecord],
         t: float,
         b: float,
         cap: float,
@@ -613,34 +587,29 @@ class BatchRunner:
         for c, st in enumerate(pack.cols):
             ex = st.ex
             if (
-                pack.egress[c].tobytes() != pre_egress[c].tobytes()
+                pack._egress[c].tobytes() != pre_egress[c].tobytes()
                 or ex._unhosted != pre_misc[c][0]
                 or ex._migrating != pre_misc[c][1]
             ):
                 return t
-        s_bytes = rec.served.tobytes() if rec.served is not None else b""
+        s_bytes = rec.served.tobytes() if rec is not None else b""
         k = 0
         g = t
         while k < self.macro_max_skip:
             gn = g + tick
             if gn > b or gn >= cap:
                 break
-            if rec.arrivals is not None:
-                queue = pack.backlog + rec.arrivals
+            if rec is not None:
+                queue = pack._backlog + rec.arrivals
                 s_k = np.minimum(queue, rec.caps)
                 if s_k.tobytes() != s_bytes:
                     break
-            # Commit one replayed tick: the same repeated ``+=`` the
-            # per-tick loop would have performed.
-            if rec.ext is not None:
-                pack.acc_ext += rec.ext
-                pack.acc_deliv += rec.deliv
-                pack.acc_arr += rec.arr
-                pack.acc_proc += rec.proc
-                pack.acc_del += rec.delv
-                np.subtract(queue, s_k, out=pack.backlog)
+                # Commit one replayed tick: the same repeated ``+=`` the
+                # per-tick loop would have performed.
+                rec.add_to(pack)
+                np.subtract(queue, s_k, out=pack._backlog)
             for st in pack.v0:
-                st.ex._acc_deliverable += st.last_deliv
+                st.last.add_to(st.ex)
             g = gn
             k += 1
         if k < 1:
@@ -655,158 +624,28 @@ class BatchRunner:
             self._check(pack, g, skipped=k)
         return g
 
-    def _phases(self, pack: _Pack, t: float, dt: float) -> _TickRecord:
-        """One vectorized tick: the serial ``FluidExecutor.step`` phases
-        evaluated over the whole batch, bit for bit per column."""
+    def _phases(
+        self, pack: _Pack, t: float, dt: float
+    ) -> Optional[_TickRecord]:
+        """One vectorized tick: the serial ``FluidExecutor.step`` over
+        the whole batch, bit for bit per column."""
         # Rates: one ``rate_at`` per distinct profile group.
         for grp in pack.rate_groups:
             grp.vals = [p.rate_at(t) for p in grp.profiles]
 
-        # Cells with no fleet take the serial V == 0 path verbatim:
-        # deliverable grows, nothing else moves.
+        # Cells with no fleet take the serial V == 0 path verbatim.
         for st in pack.v0:
-            rate_vec = np.array(st.group.vals)
-            deliv = st.ex._gain @ rate_vec * dt
-            st.ex._acc_deliverable += deliv
-            st.last_deliv = deliv
+            st.last = st.ex._idle_tick(np.array(st.group.vals), dt)
 
-        C = pack.C
-        if C == 0:
-            return _TickRecord(
-                None, None, None, None, None, None, None, None
-            )
-        Pmax, Vmax = pack.Pmax, pack.Vmax
-
-        # 0. release due migrations into their PE's queues (per cell:
-        # rare, and _deposit writes through the backlog view).
-        if pack.mig_watch:
-            for c in sorted(pack.mig_watch):
-                st = pack.cols[c]
-                ex = st.ex
-                due = [m for m in ex._migrating if m.available_at <= t]
-                if due:
-                    ex._migrating = [
-                        m for m in ex._migrating if m.available_at > t
-                    ]
-                    st.env._now = t
-                    for m in due:
-                        ex._deposit(m.pe, m.messages)
-                if not ex._migrating:
-                    pack.mig_watch.discard(c)
-
+        if not pack.C:
+            return None
         # 1. effective speeds, capacities and routing shares: the serial
         # tick's phase 1 over the stacked arrays, recomputed only when
         # one of its inputs changed.
         sp = pack.speed
         sp.update(t, dt)
-        shares, share_sums = sp.shares, sp.share_sums
-
-        # Arrivals carry one extra dummy row per cell: padded scatter
-        # indices land there, so fancy adds never touch real queues.
-        arrivals = np.zeros((C, Pmax + 1, Vmax))
-        av = arrivals.reshape(C * (Pmax + 1), Vmax)
-
-        # 2. external arrivals (+ unhosted holding buffers).
-        rates = np.zeros((C, pack.Imax))
+        rates = np.zeros((pack.C, pack.Imax))
         for grp in pack.rate_groups:
             if grp.cols:
                 rates[grp.cols, :len(grp.vals)] = grp.vals
-        n_ext = rates * dt
-        pos_in = n_ext > 0.0
-        ext_add = np.where(pos_in, n_ext, 0.0)
-        pack.acc_ext += ext_add
-        hosted = sp.hosted
-        feed = pos_in & hosted
-        if feed.any():
-            contrib_in = (ext_add * feed)[:, :, None] * sp.in_shares
-            # Real targets are unique (one row per distinct input PE per
-            # cell), so a buffered fancy add is exact; only the padded
-            # entries collide — on the dummy row, which is never read.
-            av[pack.in_flat_ravel] += contrib_in.reshape(-1, Vmax)
-        miss = pos_in & ~hosted
-        if miss.any():
-            for c, i in zip(*np.nonzero(miss)):
-                st = pack.cols[c]
-                ex = st.ex
-                name = st.input_names[i]
-                ex._unhosted[name] = (
-                    ex._unhosted.get(name, 0.0) + n_ext[c, i]
-                )
-                pack.unhosted_watch.add(int(c))
-        if pack.unhosted_watch:
-            for c in sorted(pack.unhosted_watch):
-                ex = pack.cols[c].ex
-                for name, pending in list(ex._unhosted.items()):
-                    i = ex._pe_index[name]
-                    if share_sums[c, i] > _EPS and pending > _EPS:
-                        arrivals[c, i] += pending * shares[c, i]
-                        del ex._unhosted[name]
-                if not ex._unhosted:
-                    pack.unhosted_watch.discard(c)
-        if pack.gain_simple:
-            deliv_inc = pack.gain_col * rates[:, :1] * dt
-        else:
-            deliv_inc = np.zeros((C, pack.Omax))
-            for c, st in enumerate(pack.cols):
-                deliv_inc[c, :st.O] = st.ex._gain @ rates[c, :st.I] * dt
-        pack.acc_deliv += deliv_inc
-
-        # 3. network refresh (per cell, through the budget view) + edge
-        # transfers (whole batch at once).
-        if t >= pack.next_refresh:
-            for c, st in enumerate(pack.cols):
-                ex = st.ex
-                if t >= ex._next_net_refresh:
-                    ex._refresh_network(t, shares[c, :st.P, :st.V])
-                    ex._next_net_refresh = t + ex.network_refresh
-                    pack.refresh_at[c] = ex._next_net_refresh
-            pack.next_refresh = float(pack.refresh_at.min())
-        eg = pack.egress
-        if pack.Emax:
-            active = (_seqsum(eg) > _EPS) & sp.dst_live
-            if active.any():
-                remote_want = eg * sp.dst_rest
-                # Masked divide: lanes below the epsilon keep f = 1 and
-                # are never computed, so no errstate guard is needed.
-                f = np.ones_like(eg)
-                np.divide(
-                    pack.budget * dt, remote_want, out=f,
-                    where=remote_want > _EPS,
-                )
-                np.minimum(f, 1.0, out=f)
-                kept = 1.0 - f
-                moved_pool = _seqsum(f * eg)
-                contrib = sp.dst_shares * (
-                    moved_pool[:, :, None] + eg * kept
-                )
-                sel = active.reshape(-1)
-                np.add.at(
-                    av, pack.edge_flat.reshape(-1)[sel],
-                    contrib.reshape(-1, Vmax)[sel],
-                )
-                eg[active] = (remote_want * kept)[active]
-
-        # 4. processing.
-        arr_real = arrivals[:, :Pmax, :]
-        queue = pack.backlog + arr_real
-        served = np.minimum(queue, sp.cap_msgs)
-        np.subtract(queue, served, out=pack.backlog)
-        arr_inc = _seqsum(arr_real)
-        proc_inc = _seqsum(served)
-        pack.acc_arr += arr_inc
-        pack.acc_proc += proc_inc
-
-        # 5. emission.
-        out = served * pack.selectivity
-        out_rows = out.reshape(C * Pmax, Vmax)
-        del_inc = _seqsum(out_rows[pack.output_flat])
-        pack.acc_del += del_inc
-        if pack.Emax:
-            flow = out_rows[pack.edge_src_flat] * pack.edge_factors
-            grown = _seqsum(flow) > _EPS
-            if grown.any():
-                eg[grown] += flow[grown]
-        return _TickRecord(
-            ext_add, deliv_inc, arr_inc, proc_inc, del_inc,
-            arr_real, sp.cap_msgs, served,
-        )
+        return _flow_phases(pack, pack.columns, sp, t, dt, rates, True)

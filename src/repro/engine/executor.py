@@ -22,14 +22,20 @@ network budgets live in ``(E, V)`` matrices, CPU coefficients for the
 whole fleet are gathered from stacked trace views with one indexing
 operation, and interval counters accumulate in NumPy arrays that are
 flushed to the :class:`IntervalStats` dicts once per
-:meth:`roll_interval`.  Phase 1 of the tick — coefficients, ready
-mask, effective speeds, service capacities and routing shares, one
-routine shared with the batch tick — is cached, since its inputs change
-only at a trace step, a VM ready time, a fleet rebuild or an alternate
-switch.  An entry is keyed by ``dt`` and the exact gather index
-``int(t / res) % length`` of the stacked trace series, stays valid
-while ``t`` is below the first VM ready time after the ``t`` it was
-computed at, and is dropped by :meth:`sync` and by an alternate switch.
+:meth:`roll_interval`.  The batch tick (:mod:`repro.engine.batch`) runs
+the same code: both ticks are phase 1 and one call.  Phases 0 and 2–5
+— migration release, external arrivals with the unhosted holding
+buffer and deliverable accounting, network refresh and edge transfers,
+processing, emission — are one routine, :func:`_flow_phases`, which
+this tick calls on its own ``(P, V)`` arrays and the batch on its
+padded ``(C, Pmax, Vmax)`` ones.  Phase 1 — coefficients, ready mask,
+effective speeds, service capacities and routing shares, one routine
+too — is cached, since its inputs change only at a trace step, a VM
+ready time, a fleet rebuild or an alternate switch.  An entry is keyed
+by ``dt`` and the exact gather index ``int(t / res) % length`` of the
+stacked trace series, stays valid while ``t`` is below the first VM
+ready time after the ``t`` it was computed at, and is dropped by
+:meth:`sync` and by an alternate switch.
 Coefficients of VMs without a series view (or with a mixed-resolution
 one) are never cached: such fleets recompute phase 1 every tick.
 
@@ -174,7 +180,8 @@ class _SpeedPhase:
     effective speed (e.g. still booting) — with ``share_sums`` and the
     share-only terms of the later phases: ``dst_shares`` (each edge's
     destination shares), its live mask ``dst_live``, ``dst_rest = 1 −
-    dst_shares`` and, given input rows, ``hosted`` / ``in_shares``.
+    dst_shares``, each input's ``hosted`` flag and ``in_shares``, and
+    ``in_dense``: the shares with every row but the inputs' zeroed.
     Arrays keep the owner's leading axes, ``(P, V)`` for one executor
     and ``(C, P, V)`` for a batch; index rows point into the flattened
     shares.  :meth:`update` reuses the outputs while its inputs hold
@@ -186,7 +193,7 @@ class _SpeedPhase:
         "alloc", "core_speed", "ready_time", "cost", "groups", "fill",
         "edge_dst", "input_pe", "counter", "key", "until",
         "cap_msgs", "shares", "share_sums", "dst_shares", "dst_live",
-        "dst_rest", "hosted", "in_shares",
+        "dst_rest", "hosted", "in_shares", "in_dense",
     )
 
     def __init__(self, alloc, core_speed, ready_time, cost, groups, fill,
@@ -242,22 +249,193 @@ class _SpeedPhase:
         share_sums = _seqsum(shares)
         rows = shares.reshape(-1, shares.shape[-1])
         dst_shares = rows[self.edge_dst]
-        hosted = in_shares = None
-        if self.input_pe is not None:
-            hosted = share_sums.reshape(-1)[self.input_pe] > _EPS
-            in_shares = rows[self.input_pe]
+        in_shares = rows[self.input_pe]
+        in_dense = np.zeros_like(shares)
+        in_dense.reshape(rows.shape)[self.input_pe] = in_shares
         outputs = (
             cap_msgs, shares, share_sums, dst_shares,
-            _seqsum(dst_shares) > _EPS, 1.0 - dst_shares, hosted, in_shares,
+            _seqsum(dst_shares) > _EPS, 1.0 - dst_shares,
+            share_sums.reshape(-1)[self.input_pe] > _EPS, in_shares,
+            in_dense,
         )
         for a in outputs:
-            if a is not None:
-                a.flags.writeable = False
+            a.flags.writeable = False
         (self.cap_msgs, self.shares, self.share_sums, self.dst_shares,
-         self.dst_live, self.dst_rest, self.hosted, self.in_shares) = outputs
+         self.dst_live, self.dst_rest, self.hosted, self.in_shares,
+         self.in_dense) = outputs
         self.key = key
         if perf.enabled():
             perf.add(self.counter)
+
+
+class _TickRecord:
+    """One probe tick's increments, replayed verbatim during a jump.
+
+    ``deliv`` alone for a tick with nothing deployed; otherwise also the
+    external, arrival, processed and delivered increments, and the
+    drift recurrence's operands ``arrivals`` / ``caps`` with the tick's
+    ``served`` amounts.
+    """
+
+    __slots__ = ("deliv", "ext", "arr", "proc", "delv",
+                 "arrivals", "caps", "served")
+
+    def __init__(self, deliv, ext=None, arr=None, proc=None, delv=None,
+                 arrivals=None, caps=None, served=None):
+        self.deliv = deliv
+        self.ext = ext
+        self.arr = arr
+        self.proc = proc
+        self.delv = delv
+        self.arrivals = arrivals
+        self.caps = caps
+        self.served = served
+
+    def add_to(self, o) -> None:
+        """Add one tick's increments to the interval accumulators of
+        ``o`` (an executor or a batch pack) with the tick's own ``+=``."""
+        o._acc_deliverable += self.deliv
+        if self.ext is not None:
+            o._acc_external += self.ext
+            o._acc_arrivals += self.arr
+            o._acc_processed += self.proc
+            o._acc_delivered += self.delv
+
+
+def _flow_phases(o, columns, sp: _SpeedPhase, t: float, dt: float,
+                 rates: np.ndarray, record: bool) -> Optional[_TickRecord]:
+    """Tick phases 0 and 2–5, shared by the serial and the batch tick.
+
+    ``o`` owns the state arrays under the executor's names, with the
+    leading axes of ``sp``: ``(P, V)`` queues for one executor, ``(C,
+    Pmax, Vmax)`` for a batch.  Its ``_input_idx``, ``_edge_src``,
+    ``_edge_dst`` and ``_output_idx`` are row indices into the queues
+    flattened to ``(rows, V)``.  A batch pads them with real rows: a
+    padded input repeats its column's first input at rate 0, a padded
+    edge carries no egress, so neither ever scatters.
+    ``o._gain`` stacks the gain matrices.  ``rates`` holds each input's
+    rate at ``t``, zero-padded.  ``columns`` maps a key of the leading
+    axes (``()`` for one executor) to the column's executor, which does
+    the column's scalar work: migration release, the unhosted holding
+    buffers and network refresh.  Returns the tick's
+    :class:`_TickRecord` when ``record`` is set.
+    """
+    backlog = o._backlog
+    V = backlog.shape[-1]
+    shares, share_sums = sp.shares, sp.share_sums
+
+    # 2. external arrivals.  A PE with no live cores cannot absorb its
+    # traffic, but the messages do not vanish: they wait in an unhosted
+    # holding buffer (conceptually at the ingest broker) and re-enter
+    # once capacity returns.
+    n_ext = rates * dt
+    pos = n_ext > 0.0
+    fed = pos & sp.hosted
+    ext = n_ext
+    if np.count_nonzero(fed) < fed.size:
+        ext = np.where(pos, n_ext, 0.0)
+        for idx in zip(*np.nonzero(pos & ~sp.hosted)):
+            ex = columns[idx[:-1]]
+            name = ex.dataflow.inputs[idx[-1]]
+            ex._unhosted[name] = ex._unhosted.get(name, 0.0) + n_ext[idx]
+    o._acc_external += ext
+    if rates.shape[-1] == 1:
+        # One input per column: its arrivals are one product with its
+        # shares laid on its row (zero on every other row, and on an
+        # unhosted input), its deliverables one with the gain.
+        arrivals = ext[..., np.newaxis] * sp.in_dense
+        deliv = o._gain[..., 0] * rates * dt
+    else:
+        arrivals = np.zeros(backlog.shape)
+        arrivals.reshape(-1, V)[o._input_idx[fed]] += (
+            n_ext[fed][:, np.newaxis] * sp.in_shares[fed]
+        )
+        deliv = np.zeros(o._acc_deliverable.shape)
+        for key, ex in columns.items():
+            O, I = ex._gain.shape
+            deliv[key][:O] = ex._gain @ rates[key][:I] * dt
+    o._acc_deliverable += deliv
+
+    # Per column: 0. release due migrations into their PE's queues (any
+    # time before phase 4 will do), drain the holding buffers of inputs
+    # that regained capacity, and 3. refresh the network budgets.
+    for key, ex in columns.items():
+        if ex._migrating:
+            due = [m for m in ex._migrating if m.available_at <= t]
+            if due:
+                ex._migrating = [
+                    m for m in ex._migrating if m.available_at > t
+                ]
+                for m in due:
+                    ex._deposit(m.pe, m.messages, t)
+        if ex._unhosted:
+            for name, pending in list(ex._unhosted.items()):
+                i = key + (ex._pe_index[name],)
+                if share_sums[i] > _EPS and pending > _EPS:
+                    arrivals[i] += pending * shares[i]
+                    del ex._unhosted[name]
+        if t >= ex._next_net_refresh:
+            ex._refresh_network(t, shares[key])
+            ex._next_net_refresh = t + ex.network_refresh
+
+    # 3. edge transfers, all edges at once: source VM i routes its egress
+    # proportionally to the destination shares; the fraction s_i stays
+    # on-VM (free), the remainder crosses the network under i's link
+    # budget, scaled by f_i ∈ [0, 1].  Destination j then receives
+    # arrivals_j = s_j (Σ_i f_i eg_i + eg_j (1 − f_j)).
+    eg = o._egress
+    if eg.size:
+        active = (_seqsum(eg) > _EPS) & sp.dst_live
+        n_active = np.count_nonzero(active)
+        if n_active:
+            remote_want = eg * sp.dst_rest
+            # Masked divide: lanes below the epsilon keep f = 1 and
+            # are never computed, so no errstate guard is needed.
+            f = np.ones_like(eg)
+            np.divide(
+                o._remote_budget * dt, remote_want, out=f,
+                where=remote_want > _EPS,
+            )
+            np.minimum(f, 1.0, out=f)
+            kept = 1.0 - f
+            moved_pool = _seqsum(f * eg)
+            contrib = sp.dst_shares * (
+                moved_pool[..., np.newaxis] + eg * kept
+            )
+            left = remote_want * kept
+            rows = arrivals.reshape(-1, V)
+            if n_active == active.size:
+                np.add.at(rows, o._edge_dst, contrib)
+                eg[...] = left
+            else:
+                np.add.at(rows, o._edge_dst[active], contrib[active])
+                eg[active] = left[active]
+
+    # 4. processing.
+    queue = backlog + arrivals
+    served = np.minimum(queue, sp.cap_msgs)
+    np.subtract(queue, served, out=backlog)
+    arr_inc = _seqsum(arrivals)
+    proc_inc = _seqsum(served)
+    o._acc_arrivals += arr_inc
+    o._acc_processed += proc_inc
+
+    # 5. emission.
+    out = (served * o._selectivity).reshape(-1, V)
+    del_inc = _seqsum(out[o._output_idx])
+    o._acc_delivered += del_inc
+    if eg.size:
+        flow = out[o._edge_src] * o._edge_factors
+        grown = _seqsum(flow) > _EPS
+        n_grown = np.count_nonzero(grown)
+        if n_grown == grown.size:
+            eg += flow
+        elif n_grown:
+            eg[grown] += flow[grown]
+    if record:
+        return _TickRecord(deliv, ext, arr_inc, proc_inc, del_inc,
+                           arrivals, sp.cap_msgs, served)
+    return None
 
 
 class _MigratingBuffer:
@@ -448,7 +626,7 @@ class FluidExecutor:
         self._macro_boundaries: list[Callable[[float], float]] = []
         #: Active jump: [start_t, n_skipped, record, wake_event, grid, accounted].
         self._macro_pending: Optional[list] = None
-        self._macro_record: Optional[tuple] = None
+        self._macro_record: Optional[_TickRecord] = None
         self._macro_recording = False
         self._macro_resume_at: Optional[float] = None
         self._macro_coef_ok = True
@@ -460,7 +638,8 @@ class FluidExecutor:
         #: tick.  Purely an overhead bound — jumps are best-effort.
         self._macro_backoff_until = -math.inf
         self._macro_backoff_ticks = 64.0
-        self._input_profiles = [self.profiles[n] for n in dataflow.inputs]
+        #: The one column of the shared tick phases (see _flow_phases).
+        self._columns = {(): self}
 
     # -- configuration -------------------------------------------------------------
 
@@ -950,8 +1129,8 @@ class FluidExecutor:
         if not self._macro_coef_ok:
             return None
         cap = math.inf
-        for p in self._input_profiles:
-            u = next_rate_change(p, t)
+        for name in self.dataflow.inputs:
+            u = next_rate_change(self.profiles[name], t)
             if u <= t:
                 return None
             if u < cap:
@@ -1016,7 +1195,7 @@ class FluidExecutor:
         self,
         t: float,
         plan: tuple[float, float, float],
-        record: tuple,
+        record: _TickRecord,
         drift: bool,
     ) -> Optional[object]:
         """Arm a jump from the probe tick at ``t``; returns the wake event.
@@ -1058,7 +1237,7 @@ class FluidExecutor:
             perf.add("engine.macro_jumps")
         return wake
 
-    def _macro_drift_check(self, record: tuple, n: int) -> int:
+    def _macro_drift_check(self, record: _TickRecord, n: int) -> int:
         """Longest prefix of ``n`` drift ticks with constant served flow.
 
         With arrivals, capacities and routing frozen by the change cap,
@@ -1071,8 +1250,8 @@ class FluidExecutor:
         whose served amounts deviate (a queue newly saturating or
         draining empty).
         """
-        arrivals, caps, served = record[5], record[6], record[7]
-        s_bytes = served.tobytes()
+        arrivals, caps = record.arrivals, record.caps
+        s_bytes = record.served.tobytes()
         b = self._backlog
         k = 0
         while k < n:
@@ -1135,7 +1314,7 @@ class FluidExecutor:
         if n > acc:
             self._macro_replay(record, n - acc, drift)
 
-    def _macro_replay(self, record: tuple, k: int, drift: bool) -> None:
+    def _macro_replay(self, record: _TickRecord, k: int, drift: bool) -> None:
         """Replay ``k`` stationary ticks' accumulator increments.
 
         Elementwise repeated float addition reproduces exactly what the
@@ -1147,35 +1326,18 @@ class FluidExecutor:
         the same floats); :meth:`_macro_drift_check` already proved the
         served amounts constant over the whole jump.
         """
-        ext, deliv, arr, proc, delv = record[:5]
-        acc_ext = self._acc_external
-        acc_deliv = self._acc_deliverable
-        acc_arr = self._acc_arrivals
-        acc_proc = self._acc_processed
-        acc_delv = self._acc_delivered
         if drift:
-            arrivals, caps = record[5], record[6]
+            arrivals, caps = record.arrivals, record.caps
             b = self._backlog
             for _ in range(k):
-                for col, amt in ext:
-                    acc_ext[col] += amt
-                acc_deliv += deliv
-                acc_arr += arr
-                acc_proc += proc
-                acc_delv += delv
+                record.add_to(self)
                 queue = b + arrivals
                 served = np.minimum(queue, caps)
                 b = queue - served
             self._backlog = b
         else:
             for _ in range(k):
-                for col, amt in ext:
-                    acc_ext[col] += amt
-                acc_deliv += deliv
-                if arr is not None:
-                    acc_arr += arr
-                    acc_proc += proc
-                    acc_delv += delv
+                record.add_to(self)
         self.macro_ticks_skipped += k
         if perf.enabled():
             perf.add("engine.ticks", k)
@@ -1264,147 +1426,42 @@ class FluidExecutor:
             self._take_checkpoints(t)
             while self._next_ckpt <= t:
                 self._next_ckpt += self.checkpoint_interval
-        P, V = self._alloc.shape
-
-        if V == 0:
-            # Nothing deployed: messages still arrive and are lost from
-            # the throughput ledger (deliverable grows, delivered doesn't).
-            rate_vec = np.array(
-                [self.profiles[n].rate_at(t) for n in self.dataflow.inputs]
-            )
-            deliv_inc = self._gain @ rate_vec * dt
-            self._acc_deliverable += deliv_inc
-            if self._macro_recording:
-                self._macro_record = (
-                    [], deliv_inc, None, None, None, None, None, None
-                )
+        rates = np.array(
+            [self.profiles[n].rate_at(t) for n in self.dataflow.inputs]
+        )
+        if not self._vms:
+            self._macro_record = self._idle_tick(rates, dt)
             return
-
-        # 0. release due migrations into their PE's queues.
-        if self._migrating:
-            due = [m for m in self._migrating if m.available_at <= t]
-            if due:
-                self._migrating = [
-                    m for m in self._migrating if m.available_at > t
-                ]
-                for m in due:
-                    self._deposit(m.pe, m.messages)
-
         # 1. effective speeds, capacities and routing shares (recomputed
         # only when one of their inputs changed).
         sp = self._speed
         if sp is None:
             sp = self._speed = self._speed_phase()
         sp.update(t, dt)
-        shares, share_sums = sp.shares, sp.share_sums
-
-        arrivals = np.zeros((P, V))
-
-        # 2. external arrivals.  A PE with no live cores cannot absorb its
-        # traffic, but the messages do not vanish: they wait in an
-        # unhosted holding buffer (conceptually at the ingest broker) and
-        # re-enter once capacity returns.
-        rate_vec = np.array(
-            [self.profiles[n].rate_at(t) for n in self.dataflow.inputs]
+        self._macro_record = _flow_phases(
+            self, self._columns, sp, t, dt, rates, self._macro_recording
         )
-        ext_inc = [] if self._macro_recording else None
-        for col, name in enumerate(self.dataflow.inputs):
-            n = rate_vec[col] * dt
-            if n <= 0:
-                continue
-            i = self._input_idx[col]
-            self._acc_external[col] += n
-            if ext_inc is not None:
-                ext_inc.append((col, n))
-            if share_sums[i] > _EPS:
-                arrivals[i] += n * shares[i]
-            else:
-                self._unhosted[name] = self._unhosted.get(name, 0.0) + n
-        # Drain holding buffers of PEs that regained capacity.
-        if self._unhosted:
-            for name, pending in list(self._unhosted.items()):
-                i = self._pe_index[name]
-                if share_sums[i] > _EPS and pending > _EPS:
-                    arrivals[i] += pending * shares[i]
-                    del self._unhosted[name]
-        deliv_inc = self._gain @ rate_vec * dt
-        self._acc_deliverable += deliv_inc
 
-        # 3. network refresh + edge transfers.
-        if t >= self._next_net_refresh:
-            self._refresh_network(t, shares)
-            self._next_net_refresh = t + self.network_refresh
-
-        # All edges at once: source VM i routes its egress proportionally
-        # to the destination shares; the fraction s_i stays on-VM (free),
-        # the remainder crosses the network under i's link budget, scaled
-        # by f_i ∈ [0, 1].  Destination j then receives
-        # arrivals_j = s_j (Σ_i f_i eg_i + eg_j (1 − f_j)).
-        eg = self._egress
-        if eg.size:
-            active = (_seqsum(eg) > _EPS) & sp.dst_live
-            if active.any():
-                remote_want = eg * sp.dst_rest
-                # Masked divide: lanes below the epsilon keep f = 1 and
-                # are never computed, so no errstate guard is needed.
-                f = np.ones_like(eg)
-                np.divide(
-                    self._remote_budget * dt, remote_want, out=f,
-                    where=remote_want > _EPS,
-                )
-                np.minimum(f, 1.0, out=f)
-                kept = 1.0 - f
-                moved_pool = _seqsum(f * eg)
-                contrib = sp.dst_shares * (
-                    moved_pool[:, np.newaxis] + eg * kept
-                )
-                left = remote_want * kept
-                if active.all():
-                    np.add.at(arrivals, self._edge_dst, contrib)
-                    eg[...] = left
-                else:
-                    np.add.at(
-                        arrivals, self._edge_dst[active], contrib[active]
-                    )
-                    eg[active] = left[active]
-
-        # 4. processing.
-        queue = self._backlog + arrivals
-        served = np.minimum(queue, sp.cap_msgs)
-        self._backlog = queue - served
-        arr_inc = _seqsum(arrivals)
-        proc_inc = _seqsum(served)
-        self._acc_arrivals += arr_inc
-        self._acc_processed += proc_inc
-
-        # 5. emission.
-        out = served * self._selectivity
-        del_inc = _seqsum(out[self._output_idx])
-        self._acc_delivered += del_inc
-        if ext_inc is not None:
-            self._macro_record = (
-                ext_inc, deliv_inc, arr_inc, proc_inc, del_inc,
-                arrivals, sp.cap_msgs, served,
-            )
-        if eg.size:
-            flow = out[self._edge_src] * self._edge_factors
-            grown = _seqsum(flow) > _EPS
-            if grown.all():
-                eg += flow
-            elif grown.any():
-                eg[grown] += flow[grown]
+    def _idle_tick(self, rates: np.ndarray, dt: float) -> _TickRecord:
+        """A tick with nothing deployed: messages still arrive and are
+        lost from the throughput ledger (deliverable grows, delivered
+        doesn't)."""
+        deliv = self._gain @ rates * dt
+        self._acc_deliverable += deliv
+        return _TickRecord(deliv)
 
     # -- helpers ---------------------------------------------------------------------------
 
-    def _deposit(self, pe_name: str, messages: float) -> None:
-        """Add messages to a PE's queues, proportional to allocation."""
+    def _deposit(self, pe_name: str, messages: float, t: float) -> None:
+        """Add messages to a PE's queues at ``t``, proportional to
+        allocation."""
         i = self._pe_index[pe_name]
         alloc = self._alloc[i]
         total = float(_seqsum(alloc))
         if total <= 0:
             # No host yet: try again next tick.
             self._migrating.append(
-                _MigratingBuffer(pe_name, messages, self.env.now + self.tick)
+                _MigratingBuffer(pe_name, messages, t + self.tick)
             )
             return
         self._backlog[i] += messages * (alloc / total)
@@ -1426,8 +1483,8 @@ class FluidExecutor:
         fill = self._fill_coefficients if self._coef_scalar_idx else None
         return _SpeedPhase(
             self._alloc, self._core_speed, self._ready_time, self._cost,
-            () if g is None else (g,), fill, self._edge_dst, None,
-            "engine.speed_recomputes",
+            () if g is None else (g,), fill, self._edge_dst,
+            self._input_idx, "engine.speed_recomputes",
         )
 
     def _refresh_network(self, t: float, shares: np.ndarray) -> None:

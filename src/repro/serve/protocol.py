@@ -73,6 +73,8 @@ def parse_run_request(obj: Any) -> tuple[Scenario, list[str]]:
         policies = [single]
     if not isinstance(policies, list) or not policies:
         raise ProtocolError("'policies' must be a non-empty list")
+    if not all(isinstance(p, str) for p in policies):
+        raise ProtocolError("'policies' entries must be policy names")
     bad = sorted(set(policies) - set(POLICY_NAMES))
     if bad:
         raise ProtocolError(

@@ -366,6 +366,9 @@ class ServeDaemon:
         self._conns_lock = threading.Lock()
         self._started_at = time.time()
         self._thread: Optional[threading.Thread] = None
+        #: Whether a serve loop began, and whether stop() began (both
+        #: under ``_conns_lock``): a loop never begins after a stop.
+        self._serving = self._stopping = False
         self._stopped = threading.Event()
         # Bind before starting anything: a busy port raises here, with
         # no worker running and the serving tier as it was.
@@ -397,8 +400,11 @@ class ServeDaemon:
 
     def serve_forever(self) -> None:
         """Block and serve until :meth:`stop` (or process death)."""
+        with self._conns_lock:
+            self._serving = not self._stopping
         try:
-            self.httpd.serve_forever(poll_interval=0.1)
+            if self._serving:
+                self.httpd.serve_forever(poll_interval=0.1)
         finally:
             self._stopped.set()
 
@@ -413,7 +419,12 @@ class ServeDaemon:
     def stop(self, timeout: float = 5.0) -> None:
         """Graceful stop: close the listener and every open connection,
         so no request is answered after it, then drain the worker pool."""
-        self.httpd.shutdown()
+        with self._conns_lock:
+            self._stopping = True
+        # shutdown() waits until a serve loop exits, so it is called
+        # only if one began: never on a daemon that was never started.
+        if self._serving:
+            self.httpd.shutdown()
         self.httpd.server_close()
         with self._conns_lock:
             conns, self._conns = self._conns or set(), None

@@ -109,6 +109,30 @@ class TestExecutorEdgeCases:
         assert _state(ex_on) == _state(ex_off)
         assert ex_on.macro_ticks_skipped > 0
 
+    def test_profile_replaced_after_start(self):
+        """The gate proves windows from the profile the tick reads: one
+        swapped into the public ``profiles`` after start() caps jumps at
+        its own breakpoint (333 s, off the 60 s network-refresh grid
+        and not a run horizon)."""
+
+        def build(macro):
+            env, ex = _make_executor(
+                fig1_dataflow(), {"E1": ConstantRate(2.0)}, CHAIN_ALLOC,
+                macro,
+            )
+            ex.profiles["E1"] = SteppedRate([(0.0, 2.0), (333.0, 0.0)])
+            return env, ex
+
+        def drive(env, ex):
+            env.run(until=600.0)
+            return _stats_tuple(ex.roll_interval())
+
+        ex_on, res_on, ex_off, res_off = _run_pair(build, drive)
+        assert res_off[2] == {"E1": 666.0}
+        assert res_on == res_off
+        assert _state(ex_on) == _state(ex_off)
+        assert ex_on.macro_ticks_skipped > 0
+
     def test_vm_failure_exactly_on_jump_boundary(self):
         """A crash scheduled on the engine's wake-up tick itself.
 

@@ -77,6 +77,16 @@ class TestParseRunRequest:
         with pytest.raises(ProtocolError, match="non-empty"):
             parse_run_request({"policies": []})
 
+    @pytest.mark.parametrize("body", [
+        {"policies": [{}]},
+        {"policies": [["local"]]},
+        {"policy": {}},
+        {"policies": [1, "bogus"]},
+    ])
+    def test_non_string_policy_rejected(self, body):
+        with pytest.raises(ProtocolError, match="policy names"):
+            parse_run_request({"scenario": {"rate": 3.0}, **body})
+
     def test_invalid_scenario_value_rejected(self):
         with pytest.raises(ProtocolError, match="invalid scenario"):
             parse_run_request({"scenario": {"rate_kind": "warble"}})

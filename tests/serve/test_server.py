@@ -86,6 +86,13 @@ class TestEndpoints:
         assert "unknown scenario fields" in exc_info.value.detail
         assert client.stats()["requests"]["bad_requests"] == 1
 
+    def test_unhashable_policy_400(self, daemon, client):
+        with pytest.raises(ServerError) as exc_info:
+            client.run({"rate": 3.0}, policies=[{}])
+        assert exc_info.value.status == 400
+        assert "policy names" in exc_info.value.detail
+        assert client.stats()["requests"]["bad_requests"] == 1
+
     def test_invalid_json_body_400(self, daemon):
         req = urllib.request.Request(
             daemon.url + "/run",
@@ -539,6 +546,23 @@ def _workers() -> set[threading.Thread]:
 
 
 class TestBoot:
+    def test_stop_without_start_returns(self):
+        """stop() on a daemon that never served returns promptly, with
+        its workers gone and the serving tier off, as after a start."""
+        tier_was_on = cache.serve_tier_enabled()
+        before = _workers()
+        daemon = ServeDaemon(workers=1)
+        stopper = threading.Thread(target=daemon.stop, daemon=True)
+        stopper.start()
+        stopper.join(10)
+        try:
+            assert not stopper.is_alive()
+            assert not cache.serve_tier_enabled()
+            assert not _workers() - before
+        finally:
+            if tier_was_on:
+                cache.enable_serve_tier()
+
     def test_failed_bind_starts_nothing(self):
         """A busy port fails the constructor before any worker starts or
         the process-global serving tier changes."""
