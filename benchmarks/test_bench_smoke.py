@@ -258,6 +258,66 @@ def test_macro_gate_overhead_negligible():
     )
 
 
+def test_macro_gate_overhead_negligible_when_nothing_can_open():
+    """The macro gate and the window gate together cost < 2 µs per tick
+    where neither a jump nor a window can ever open.
+
+    On a periodic wave the window gate opens windows, so the case above
+    no longer isolates overhead.  Here the performance model has no
+    ``cpu_series_view``: phase 1 has scalar lanes, which no jump and no
+    window spans, so every tick is stepped in both modes and the delta
+    between them is the gates' own cost.  Each mode's time is the
+    fastest of interleaved rounds.
+    """
+    import time as _time
+
+    from repro.cloud import (
+        CloudProvider,
+        ConstantPerformance,
+        aws_2013_catalog,
+    )
+    from repro.engine import FluidExecutor
+    from repro.experiments import fig1_dataflow
+    from repro.sim import Environment
+    from repro.workloads import PeriodicWave
+
+    class OpaquePerformance(ConstantPerformance):
+        """Constant performance the engine can only ask VM by VM."""
+
+        cpu_series_view = None
+
+    def per_tick_s(macro: bool) -> float:
+        env = Environment()
+        provider = CloudProvider(
+            aws_2013_catalog(), performance=OpaquePerformance()
+        )
+        df = fig1_dataflow()
+        pes = list(df.pe_names)
+        for i in range(8):
+            vm = provider.provision("m1.xlarge", now=0.0)
+            vm.allocate(pes[i % len(pes)], 4)
+        ex = FluidExecutor(
+            env, df, provider, {"E1": PeriodicWave(5.0)},
+            selection=df.default_selection(), macrostep=macro,
+        )
+        ex.sync()
+        ex.start()
+        t0 = _time.perf_counter()
+        env.run(until=2000.0)
+        elapsed = (_time.perf_counter() - t0) / 2000.0
+        assert ex.macro_ticks_skipped == 0 and ex.windows == 0
+        return elapsed
+
+    off = on = float("inf")
+    for _ in range(3):
+        off = min(off, per_tick_s(False))
+        on = min(on, per_tick_s(True))
+    assert on - off < 2e-6, (
+        f"macro gate overhead {max(0.0, on - off) * 1e6:.2f} µs/tick "
+        f"(off {off * 1e6:.1f} µs, on {on * 1e6:.1f} µs)"
+    )
+
+
 def test_batch_speedup_floor_recorded():
     """ISSUE acceptance: the recorded cold-sweep batch throughput is
     ≥ 5× the serial baseline measured in the same entry, and the entry

@@ -37,10 +37,11 @@ engine when there are two or more of them, one vectorized tick for the
 whole group; a lone cell runs on the serial engine.  Rows are
 bit-identical either way.
 
-The fluid engine macro-steps through provably stationary stretches by
-default (bit-identical results, large speedups on steady-state-heavy
-scenarios); set ``REPRO_MACROSTEP=0`` to force per-tick stepping, e.g.
-when profiling the per-tick path itself.
+The fluid engine macro-steps through provably stationary stretches,
+and advances runs of wave-rate ticks in verified time-stacked windows,
+by default (bit-identical results, large speedups on steady-state-heavy
+and wave-rate scenarios); set ``REPRO_MACROSTEP=0`` to force per-tick
+stepping, e.g. when profiling the per-tick path itself.
 
 Service-mode knobs (``repro serve``; flags take precedence):
 
@@ -50,8 +51,9 @@ Service-mode knobs (``repro serve``; flags take precedence):
     Bounded submission queue depth; a full queue is answered with
     ``429`` + ``Retry-After`` (default 32).
 ``REPRO_SERVE_LRU``
-    In-memory serving LRU capacity in entries (default 512).  It bounds
-    the daemon's memo of parsed request bodies too; 0 turns both off.
+    The daemon's in-memory serving LRU capacity in entries (default
+    512).  It bounds the daemon's memo of parsed request bodies too; 0
+    turns both off.
 ``REPRO_SERVE_TIMEOUT_S``
     Per-request wait bound on cold cells (default 600).
 """

@@ -43,10 +43,15 @@ The mechanics that make that possible:
 Macro-stepping (S24) is evaluated column-wise: each cell's own
 :meth:`~repro.engine.executor.FluidExecutor._macro_change_cap` bounds
 the jump, stationarity is classified per column from bitwise snapshots,
-and the batch jumps only when **every** column proves a window —
-replaying the recorded :class:`~repro.engine.executor._TickRecord`
-through the serial engine's helper, with the same three-op drift
-recurrence.
+and the batch jumps only when **every** column proves a constant
+stretch.  The probe's vectorized drift check
+(:func:`~repro.engine.executor._drift_prefix`) bounds the jump, and the
+recorded :class:`~repro.engine.executor._TickRecord` commits through the
+serial engine's one replay (:class:`~repro.engine.executor._Run`), with
+no per-tick loop.  Window ticks are serial-only for now: the time pack
+(:class:`~repro.engine.executor._TimePack`) stacks an owner's leading
+axes, so a pack's ``(C, …)`` columns can take windows without a second
+routine.
 
 Failure injection is out of scope (the failure driver is a foreign
 kernel process that rebuilds fleets mid-interval, while the batch packs
@@ -69,7 +74,8 @@ from ..obs import collector as _obs
 from ..util import perf
 from ..validate import invariants as _validate
 from .executor import (
-    _CoefGroup, _flow_phases, _macro_default, _SpeedPhase, _TickRecord,
+    _CoefGroup, _drift_prefix, _flow_phases, _grid, _macro_default,
+    _prefix, _Run, _SpeedPhase, _TickRecord,
 )
 from .manager import RunManager, RunResult, RunState
 # Unused here (the run lifecycle reconciles through ``repro.engine.manager``),
@@ -576,12 +582,13 @@ class BatchRunner:
         """Classify each column's probe tick and, if all are stationary,
         replay as many grid points as remain provably identical.
 
-        Fixed-point and linear-drift columns share one replay: the
-        three-op drift recurrence reproduces a fixed point bitwise (the
-        probe proved ``queue − served == backlog``), and the per-step
-        ``served`` comparison truncates the jump at the first tick any
-        queue would newly saturate or drain empty — exactly the serial
-        engine's ``_macro_drift_check``, fused with the replay.
+        Fixed-point and linear-drift columns share one check: the drift
+        trajectory reproduces a fixed point bitwise (the probe proved
+        ``queue − served == backlog``), and the vectorized prefix check
+        of :func:`~repro.engine.executor._drift_prefix` truncates the
+        jump at the first tick any queue would newly saturate or drain
+        empty.  The ticks then commit through the serial engine's one
+        replay, :func:`~repro.engine.executor._replay`.
         """
         pre_backlog, pre_egress, pre_misc = snap
         for c, st in enumerate(pack.cols):
@@ -592,28 +599,17 @@ class BatchRunner:
                 or ex._migrating != pre_misc[c][1]
             ):
                 return t
-        s_bytes = rec.served.tobytes() if rec is not None else b""
-        k = 0
-        g = t
-        while k < self.macro_max_skip:
-            gn = g + tick
-            if gn > b or gn >= cap:
-                break
-            if rec is not None:
-                queue = pack._backlog + rec.arrivals
-                s_k = np.minimum(queue, rec.caps)
-                if s_k.tobytes() != s_bytes:
-                    break
-                # Commit one replayed tick: the same repeated ``+=`` the
-                # per-tick loop would have performed.
-                rec.add_to(pack)
-                np.subtract(queue, s_k, out=pack._backlog)
-            for st in pack.v0:
-                st.last.add_to(st.ex)
-            g = gn
-            k += 1
+        grid = _grid(t, tick, self.macro_max_skip, min(b, cap))
+        k = _prefix((grid <= b) & (grid < cap))
+        if rec is not None:
+            k = _drift_prefix(pack._backlog, rec, k)
         if k < 1:
             return t
+        if rec is not None:
+            _Run(k, rec.increments(), drift=rec).commit(pack, 0, k)
+        for st in pack.v0:
+            _Run(k, st.last.increments()).commit(st.ex, 0, k)
+        g = float(grid[k - 1])
         self.macro_jumps += 1
         self.macro_ticks_skipped += k
         if perf.enabled():

@@ -52,10 +52,10 @@ probe tick so every ledger ends up bit-identical to a tick-by-tick run
   the post-tick state; an unchanged state is a fixed point.  If *only*
   the backlogs moved (saturated queues growing, or draining at full
   capacity — the common regime under the paper's Ω̂ < 1 provisioning)
-  the engine enters *linear-drift* mode: it proves by simulating just
-  the three-op processing recurrence that the served amounts stay
-  bit-identical over the jump, then replays that same recurrence at
-  settle time so the backlog trajectory matches a per-tick run float
+  the engine enters *linear-drift* mode: a vectorized check over the
+  processing recurrence's trajectory (:func:`_drift_prefix`) proves the
+  served amounts stay bit-identical over the jump, and at settle time
+  the same trajectory (:func:`_drift_state`) advances the backlog float
   for float,
 * cheap *change caps* bound how far the fixed point provably extends:
   the next rate-profile breakpoint, CPU-coefficient trace boundary, VM
@@ -67,14 +67,43 @@ probe tick so every ledger ends up bit-identical to a tick-by-tick run
   billing-hour edges), so foreign processes never act mid-jump and the
   kernel's event order stays identical to normal mode,
 * wake times are produced by the same repeated ``t + tick`` float
-  addition the per-tick loop would have performed and scheduled via
+  addition the per-tick loop would have performed (one accumulate,
+  :func:`_grid`) and scheduled via
   :meth:`~repro.sim.kernel.Environment.event_at`, so the engine lands on
   the exact tick-grid floats of a normal run,
-* the skipped ticks are settled *lazily*: replayed in one batch at the
+* the skipped ticks are settled *lazily*: committed in one replay at the
   wake-up, or — when a mutation (sync / failure / alternate switch /
-  interval roll) arrives mid-jump — settled up to the mutation time,
-  with the remaining ticks re-executed for real after an interrupt
-  cancels the stale wake-up (the calendar queue's lazy cancellation).
+  interval roll) arrives mid-jump — up to the mutation time, with the
+  remaining ticks re-executed for real after an interrupt cancels the
+  stale wake-up (the calendar queue's lazy cancellation).
+
+**Window ticks.**  A rate that never holds still (the paper's periodic
+waves) defeats the change cap, yet a run's *regime* — phase 1's
+outputs, which queues saturate, the network budgets — holds for tens of
+ticks.  After a real tick on such a rate the engine therefore opens a
+*window*: the next grid points (up to ``_WINDOW_TICKS``) are stacked on
+a new leading time axis, a *time pack* (:class:`_TimePack`), and run
+through :func:`_flow_phases` all at once, as a batch runs its columns.
+Tick 0 of the pack takes the true state, every later tick a guess
+(:func:`_window_pass`), and the pass repeats on better guesses until
+each tick's outputs equal the next tick's inputs byte for byte; only
+the longest prefix for which that holds is kept, so a wrong guess only
+shortens a window.  A window opens only while phase 1 has no scalar
+lanes and no holding buffer, migration or unhosted input is pending;
+it ends where a jump's change cap ends, minus the rate term (a trace
+step, VM ready time, network refresh or checkpoint sweep), and obeys
+the same event caps.  It stays pending like a jump; a window whose
+verified prefix comes out short backs the window gate off for a while.
+``REPRO_MACROSTEP=0`` turns windows off with jumps.
+
+**One replay.**  Jumps, windows and the batch's jumps commit through one
+routine, :func:`_replay`: ticks ``a..b−1`` of a run advance each
+accumulator by one ``np.add.accumulate`` over ``[acc, inc_a, …,
+inc_{b−1}]`` — accumulation is sequential along the axis, so the result
+is bitwise the tick loop's repeated ``+=`` — in chunks, so no stacked
+array grows with a jump's length.  A window's increments are its pass's
+stacked record; a jump is a window whose increments are the probe
+tick's, broadcast to every tick (:class:`_Run`).
 
 The engine is validated against a per-message discrete-event executor in
 the test suite (``tests/engine/test_fluid_vs_permsg.py``) and against
@@ -268,13 +297,32 @@ class _SpeedPhase:
             perf.add(self.counter)
 
 
+#: The interval accumulators, in the order of :meth:`_TickRecord.increments`.
+_ACC = ("_acc_deliverable", "_acc_external", "_acc_arrivals",
+        "_acc_processed", "_acc_delivered")
+
+#: Element budget of one stacked chunk in :func:`_replay` and
+#: :func:`_drift_prefix`: long runs go through in chunks, so no stacked
+#: array grows with a jump's length.
+_CHUNK = 1 << 18
+
+#: Window ticks: the most grid points one window stacks, the most passes
+#: it runs to verify them, and the gate backoff (in ticks) after a window
+#: whose verified prefix came out shorter than ``_WINDOW_SHORT`` ticks.
+_WINDOW_TICKS = 64
+_WINDOW_PASSES = 8
+_WINDOW_SHORT = 4
+_WINDOW_BACKOFF = 16.0
+
+
 class _TickRecord:
-    """One probe tick's increments, replayed verbatim during a jump.
+    """A tick's increments: a probe tick's, or a stacked pass's.
 
     ``deliv`` alone for a tick with nothing deployed; otherwise also the
     external, arrival, processed and delivered increments, and the
     drift recurrence's operands ``arrivals`` / ``caps`` with the tick's
-    ``served`` amounts.
+    ``served`` amounts.  A time pack's record (see :class:`_TimePack`)
+    carries a leading time axis on every field.
     """
 
     __slots__ = ("deliv", "ext", "arr", "proc", "delv",
@@ -291,15 +339,129 @@ class _TickRecord:
         self.caps = caps
         self.served = served
 
-    def add_to(self, o) -> None:
-        """Add one tick's increments to the interval accumulators of
-        ``o`` (an executor or a batch pack) with the tick's own ``+=``."""
-        o._acc_deliverable += self.deliv
-        if self.ext is not None:
-            o._acc_external += self.ext
-            o._acc_arrivals += self.arr
-            o._acc_processed += self.proc
-            o._acc_delivered += self.delv
+    def increments(self) -> tuple:
+        """The accumulator increments, in :data:`_ACC` order."""
+        return (self.deliv, self.ext, self.arr, self.proc, self.delv)
+
+
+def _grid(t: float, tick: float, n: int,
+          until: float = math.inf) -> np.ndarray:
+    """The tick-grid points after ``t``: ``n`` of them, or fewer that
+    still run past ``until``.  One accumulate over ``[t, tick, tick, …]``
+    is bitwise the tick loop's repeated ``g + tick``."""
+    if until < math.inf:
+        n = min(n, int((until - t) / tick) + 3)
+    z = np.full(n + 1, tick)
+    z[0] = t
+    return np.add.accumulate(z)[1:]
+
+
+def _prefix(ok: np.ndarray) -> int:
+    """Length of the leading run of ``True`` in ``ok``."""
+    return ok.size if ok.all() else int(ok.argmin())
+
+
+def _differs(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per index of the leading axis: does any bit of ``x`` and ``y``
+    differ?  (Bits, not values: ``-0.0`` differs from ``0.0``.)"""
+    ne = x.view(np.int64) != y.view(np.int64)
+    return ne.any(axis=tuple(range(1, ne.ndim)))
+
+
+def _replay(o, incs: tuple, a: int, b: int) -> None:
+    """Commit ticks ``a..b−1`` of a stacked run to ``o``'s interval
+    accumulators (``o`` is an executor or a batch pack; ``incs`` holds
+    the increments in :data:`_ACC` order, each on a leading time axis
+    or, for a jump, one tick's array broadcast to every tick).
+
+    Each accumulator takes one ``np.add.accumulate`` over ``[acc,
+    inc_a, …, inc_{b−1}]``: accumulation is strictly sequential along
+    the axis, so the result is bitwise the tick loop's repeated ``+=``.
+    """
+    for name, inc in zip(_ACC, incs):
+        if inc is None:
+            continue
+        acc = getattr(o, name)
+        stacked = inc.ndim > acc.ndim
+        step = max(1, _CHUNK // max(acc.size, 1))
+        for s in range(a, b, step):
+            e = min(b, s + step)
+            z = np.empty((e - s + 1,) + acc.shape)
+            z[0] = acc
+            z[1:] = inc[s:e] if stacked else inc
+            np.add.accumulate(z, axis=0, out=z)
+            acc[...] = z[-1]
+
+
+def _saturated(b: np.ndarray, arrivals, caps, c: int) -> np.ndarray:
+    """``c`` ticks of saturated queues from backlog ``b``: one accumulate
+    over ``[b, a, −cap, a, −cap, …]`` (``arrivals`` per tick, or one
+    tick's for every tick).  IEEE 754 makes ``x − c`` and ``x + (−c)``
+    one operation, so while a queue stays at or above its capacity each
+    entry is the per-tick recurrence's float: entry ``2j`` the backlog
+    before tick ``j``, entry ``2j + 1`` its queue."""
+    z = np.empty((2 * c + 1,) + b.shape)
+    z[0] = b
+    z[1::2] = arrivals
+    z[2::2] = -caps
+    return np.add.accumulate(z, axis=0, out=z)
+
+
+def _drift_prefix(backlog: np.ndarray, rec: _TickRecord, n: int) -> int:
+    """Longest prefix, up to ``n`` ticks from ``backlog``, over which a
+    probe tick's served amounts stay bit-identical.
+
+    With arrivals, capacities and routing frozen, the only moving state
+    is the backlog, whose per-tick update is ``queue = backlog +
+    arrivals; served = min(queue, cap); backlog = queue − served``, and
+    every other quantity of a tick stays bit-identical as long as
+    ``served`` does.  ``backlog`` is what the probe tick left: no lane
+    below 0, and an unsaturated one (``served < cap``) at exactly 0.
+    Once the first tick matches, only a saturated lane that drains
+    (``arrivals < cap``) can ever deviate — a lane fed at or above its
+    capacity keeps a queue of at least ``arrivals``, and an unsaturated
+    one keeps serving ``arrivals`` — so only those lanes' queues are
+    followed (:func:`_saturated`), in doubling chunks: the first tick
+    whose queue falls below the capacity ends the prefix.
+    """
+    arrivals, caps, served = rec.arrivals, rec.caps, rec.served
+    first = np.minimum(backlog + arrivals, caps)
+    if n < 1 or (first.view(np.int64) != served.view(np.int64)).any():
+        return 0
+    drain = (served == caps) & (arrivals < caps)
+    if not drain.any():
+        return n
+    b, a, cap = backlog[drain], arrivals[drain], caps[drain]
+    most = max(1, _CHUNK // (2 * b.size))
+    step = 8  # doubling chunks: a regime change ends the check early
+    k = 0
+    while k < n:
+        c = min(step, most, n - k)
+        step *= 2
+        z = _saturated(b, a, cap, c)
+        ok = (z[1::2] >= cap).all(axis=1)
+        if not ok.all():
+            return k + int(ok.argmin())
+        k += c
+        b = z[-1]
+    return k
+
+
+def _drift_state(backlog: np.ndarray, rec: _TickRecord,
+                 k: int) -> np.ndarray:
+    """The backlog after ``k`` ticks that :func:`_drift_prefix` proved:
+    saturated lanes advance by :func:`_saturated`, float for float the
+    per-tick recurrence; every other lane holds its value."""
+    out = backlog.copy()
+    sat = rec.served == rec.caps
+    if k < 1 or not sat.any():
+        return out
+    b, a, cap = backlog[sat], rec.arrivals[sat], rec.caps[sat]
+    most = max(1, _CHUNK // (2 * b.size))
+    for s in range(0, k, most):
+        b = _saturated(b, a, cap, min(most, k - s))[-1]
+    out[sat] = b
+    return out
 
 
 def _flow_phases(o, columns, sp: _SpeedPhase, t: float, dt: float,
@@ -438,6 +600,134 @@ def _flow_phases(o, columns, sp: _SpeedPhase, t: float, dt: float,
     return None
 
 
+class _SpeedView:
+    """Phase 1's outputs broadcast along a new leading time axis."""
+
+    __slots__ = ("cap_msgs", "shares", "share_sums", "dst_shares",
+                 "dst_live", "dst_rest", "hosted", "in_shares", "in_dense")
+
+    def __init__(self, sp: _SpeedPhase, k: int) -> None:
+        for name in self.__slots__:
+            a = getattr(sp, name)
+            setattr(self, name, np.broadcast_to(a, (k,) + a.shape))
+
+
+class _TimePack:
+    """``k`` grid points of an owner stacked on a new leading time axis.
+
+    A window is a batch over time: slice ``j`` of every array is the
+    owner's state at grid point ``j``, under the field names
+    :func:`_flow_phases` reads.  Queues and accumulators gain the time
+    axis, row indices are offset by ``j`` times the owner's row count,
+    and the network budget, selectivities, gain and edge factors
+    broadcast.  ``columns`` keys gain the slice in front, so each slice
+    does its column's scalar work — none, inside a window — and the
+    multi-input branch computes each slice's deliverables with the
+    column's own ``gain @ rates``.  Written over the owner's leading
+    axes: the serial executor's ``()`` or a batch pack's ``(C,)``.
+    """
+
+    __slots__ = ("k", "columns", "sp", "_backlog", "_egress",
+                 "_remote_budget", "_selectivity", "_gain",
+                 "_edge_factors", "_input_idx", "_edge_src", "_edge_dst",
+                 "_output_idx") + _ACC
+
+    def __init__(self, o, columns: dict, sp: _SpeedPhase, k: int) -> None:
+        self.k = k
+        self.columns = {
+            (j,) + key: ex for j in range(k) for key, ex in columns.items()
+        }
+        self.sp = _SpeedView(sp, k)
+        shape = o._backlog.shape
+        off = np.arange(k) * int(np.prod(shape[:-1]))
+        for name in ("_input_idx", "_edge_src", "_edge_dst", "_output_idx"):
+            idx = getattr(o, name)
+            setattr(self, name, off.reshape((k,) + (1,) * idx.ndim) + idx)
+        self._remote_budget = o._remote_budget
+        self._selectivity = o._selectivity
+        self._gain = o._gain
+        self._edge_factors = o._edge_factors
+
+    def run(self, o, backlog, egress, t: float, dt: float,
+            rates: np.ndarray) -> _TickRecord:
+        """One pass: every slice's tick from its input state (left
+        untouched); the outputs land in ``_backlog`` / ``_egress``."""
+        self._backlog = backlog.copy()
+        self._egress = egress.copy()
+        for name in _ACC:
+            setattr(self, name, np.zeros((self.k,) + getattr(o, name).shape))
+        return _flow_phases(self, self.columns, self.sp, t, dt, rates, True)
+
+
+def _window_pass(o, columns: dict, sp: _SpeedPhase, grid: np.ndarray,
+                 rates: np.ndarray, dt: float, passes: int):
+    """Speculate a window over ``grid`` from ``o``'s state, then verify it.
+
+    Tick 0 takes the true state, tick ``j > 0`` a guess; each pass runs
+    every tick at once through :func:`_flow_phases` (a
+    :class:`_TimePack`) and re-guesses from its outputs — egress shifted
+    by one tick; a lane saturated at every tick so far follows
+    :func:`_saturated` over the pass's arrivals, and any other lane the
+    previous tick's output (0 for a lane that served its whole queue).  Passes repeat until every
+    tick's outputs equal the next tick's inputs byte for byte, at most
+    ``passes`` times.  Returns ``(m, record, backlog, egress)``: the
+    longest prefix of ``m`` ticks whose outputs feed the next tick's
+    inputs exactly, the last pass's stacked record, and the state after
+    each tick.  By induction from tick 0 the prefix is exactly the
+    per-tick run, whatever the guess; a wrong guess only shortens it.
+    """
+    k = len(grid)
+    tp = _TimePack(o, columns, sp, k)
+    b0, e0 = o._backlog, o._egress
+    b_in = np.broadcast_to(b0, (k,) + b0.shape).copy()
+    e_in = np.broadcast_to(e0, (k,) + e0.shape).copy()
+    t = float(grid[0])
+    for r in range(passes):
+        rec = tp.run(o, b_in, e_in, t, dt, rates)
+        b_out, e_out = tp._backlog, tp._egress
+        bad = _differs(b_out[:-1], b_in[1:]) | _differs(e_out[:-1], e_in[1:])
+        if r == passes - 1 or not bad.any():
+            break
+        b_in = np.concatenate((b0[np.newaxis], b_out[:-1]))
+        e_in = np.concatenate((e0[np.newaxis], e_out[:-1]))
+        sat = np.logical_and.accumulate(rec.served[:-1] == sp.cap_msgs)
+        if sat.any():
+            z = _saturated(b0, rec.arrivals[:-1], sp.cap_msgs, k - 1)
+            np.copyto(b_in[1:], z[2::2], where=sat)
+    m = int(bad.argmax()) + 1 if bad.any() else k
+    return m, rec, b_out, e_out
+
+
+class _Run:
+    """``n`` ticks proved ahead of the clock, committed lazily.
+
+    A window keeps its stacked record's increments and the state after
+    each tick; a jump is a window whose increments are the probe tick's,
+    broadcast to every tick, and whose backlog, when it drifts, follows
+    :func:`_drift_state` from the committed state.  :meth:`commit`
+    replays ticks ``a..b−1`` into an owner (an executor or a batch
+    pack) through :func:`_replay`.
+    """
+
+    __slots__ = ("n", "incs", "backlog", "egress", "drift")
+
+    def __init__(self, n: int, incs: tuple, backlog=None, egress=None,
+                 drift: Optional[_TickRecord] = None) -> None:
+        self.n = n
+        self.incs = incs
+        self.backlog = backlog
+        self.egress = egress
+        self.drift = drift
+
+    def commit(self, o, a: int, b: int) -> None:
+        _replay(o, self.incs, a, b)
+        if self.backlog is not None:
+            o._backlog[...] = self.backlog[b - 1]
+            o._egress[...] = self.egress[b - 1]
+        elif self.drift is not None:
+            o._backlog[...] = _drift_state(o._backlog, self.drift, b - a)
+
+
 class _MigratingBuffer:
     """Messages in flight between VMs during a buffer migration."""
 
@@ -477,9 +767,10 @@ class FluidExecutor:
         cap bounds how many source links are priced individually when a
         buffer migration drains many hosts at once.
     macrostep:
-        Enable steady-state macro-stepping (see the module docstring).
-        ``None`` (default) follows the ``REPRO_MACROSTEP`` environment
-        flag, which is on unless set to ``0``.
+        Enable steady-state macro-stepping and window ticks (see the
+        module docstring).  ``None`` (default) follows the
+        ``REPRO_MACROSTEP`` environment flag, which is on unless set to
+        ``0``.
     checkpoint_interval:
         Seconds between periodic checkpoints of every hosted PE's input
         backlog (``None`` disables checkpointing).  When a VM crashes,
@@ -624,7 +915,7 @@ class FluidExecutor:
         self.macro_ticks_skipped = 0
         self.ticks_executed = 0
         self._macro_boundaries: list[Callable[[float], float]] = []
-        #: Active jump: [start_t, n_skipped, record, wake_event, grid, accounted].
+        #: Pending jump or window: [run, wake_event, grid, committed].
         self._macro_pending: Optional[list] = None
         self._macro_record: Optional[_TickRecord] = None
         self._macro_recording = False
@@ -638,6 +929,9 @@ class FluidExecutor:
         #: tick.  Purely an overhead bound — jumps are best-effort.
         self._macro_backoff_until = -math.inf
         self._macro_backoff_ticks = 64.0
+        #: Windows armed, and the window gate's own backoff.
+        self.windows = 0
+        self._window_backoff_until = -math.inf
         #: The one column of the shared tick phases (see _flow_phases).
         self._columns = {(): self}
 
@@ -1041,6 +1335,7 @@ class FluidExecutor:
             self.ticks_executed += 1
             if _validate.enabled():
                 _validate.checker().after_tick(self)
+            wake = None
             if plan is not None:
                 self._macro_recording = False
                 record = self._macro_record
@@ -1048,20 +1343,23 @@ class FluidExecutor:
                 drift = self._macro_stationary(snap)
                 if record is not None and drift is not None:
                     wake = self._macro_arm(t, plan, record, drift)
-                    if wake is not None:
-                        try:
-                            yield wake
-                        except Interrupt:
-                            # A mutation truncated the jump: the stale
-                            # wake-up was cancelled; realign onto the
-                            # tick grid and resume stepping for real.
-                            g = self._macro_resume_at
-                            self._macro_resume_at = None
-                            if g is not None and g > env.now:
-                                yield env.event_at(g)
-                            continue
-                        self._macro_wake_settle()
-                        continue
+            if (wake is None and self.macro_enabled
+                    and t >= self._window_backoff_until):
+                wake = self._window(t)
+            if wake is not None:
+                try:
+                    yield wake
+                except Interrupt:
+                    # A mutation truncated the jump or window: the stale
+                    # wake-up was cancelled; realign onto the tick grid
+                    # and resume stepping for real.
+                    g = self._macro_resume_at
+                    self._macro_resume_at = None
+                    if g is not None and g > env.now:
+                        yield env.event_at(g)
+                    continue
+                self._macro_wake_settle()
+                continue
             yield env.timeout(tick)
 
     # -- macro-stepping ----------------------------------------------------------------
@@ -1080,7 +1378,8 @@ class FluidExecutor:
 
     @property
     def macro_jump_ratio(self) -> float:
-        """Fraction of tick-grid points covered by jumps instead of steps."""
+        """Fraction of tick-grid points covered by jumps and windows
+        instead of steps."""
         total = self.ticks_executed + self.macro_ticks_skipped
         return self.macro_ticks_skipped / total if total else 0.0
 
@@ -1108,14 +1407,82 @@ class FluidExecutor:
             return None
         if cap <= t + tick:
             return None
+        bound = self._macro_bound(t)
+        if bound < t + 2.0 * tick:
+            return None
+        return (cap, peek, bound)
+
+    def _macro_bound(self, t: float) -> float:
+        """The earliest registered boundary after ``t``, or the run
+        horizon: a jump or window wakes at or before it."""
         bound = self.env.run_horizon
         for fn in self._macro_boundaries:
             b = fn(t)
             if b < bound:
                 bound = b
+        return bound
+
+    def _window(self, t: float) -> Optional[object]:
+        """Arm a window after the real tick at ``t``; returns its wake.
+
+        The grid points after ``t`` are stacked on a time axis and run
+        through the shared tick phases in a few passes
+        (:func:`_window_pass`); the verified prefix stays pending like a
+        jump, settled lazily up to the wake-up, where the next real tick
+        runs.  No window opens while a holding buffer or migration is
+        pending, an input is unhosted, or phase 1 has scalar lanes.  A
+        window ends at the jump's change cap minus its rate term: a
+        grid point whose phase-1 key (trace step) differs, a VM ready
+        time, the network refresh and the next checkpoint sweep; its
+        wake lands strictly before every foreign event and at or before
+        every boundary and the run horizon.
+        """
+        sp = self._speed
+        if (sp is None or sp.fill is not None or self._migrating
+                or self._unhosted or not sp.hosted.all()):
+            return None
+        # Only where some input's rate never holds still: elsewhere a
+        # jump covers a steady stretch for one probe tick, far less than
+        # a window's passes.
+        if all(next_rate_change(self.profiles[name], t) > t
+               for name in self.dataflow.inputs):
+            return None
+        tick = self.tick
+        peek = self.env.peek()
+        if peek <= t + 2.0 * tick:
+            return None
+        bound = self._macro_bound(t)
         if bound < t + 2.0 * tick:
             return None
-        return (cap, peek, bound)
+        grid = _grid(t, tick, _WINDOW_TICKS + 1, min(peek, bound))
+        lim = _prefix((grid < peek) & (grid <= bound)) - 1
+        if lim < 2:
+            return None
+        ticks = grid[:lim]
+        ok = ((ticks < sp.until) & (ticks < self._next_net_refresh)
+              & (ticks < self._next_ckpt))
+        for g, key in zip(sp.groups, sp.key[1:]):
+            ok &= (ticks / g.res).astype(np.int64) % g.length == key
+        k = _prefix(ok)
+        if k < 2:
+            return None
+        ticks = ticks[:k]
+        rates = np.array([
+            [self.profiles[name].rate_at(g) for name in self.dataflow.inputs]
+            for g in ticks.tolist()
+        ])
+        m, rec, backlog, egress = _window_pass(
+            self, self._columns, sp, ticks, rates, tick, _WINDOW_PASSES
+        )
+        if m < _WINDOW_SHORT:
+            # Too short to pay for its passes: back off like the gate.
+            self._window_backoff_until = t + _WINDOW_BACKOFF * tick
+        run = _Run(m, tuple(x[:m] for x in rec.increments()),
+                   backlog[:m], egress[:m])
+        self.windows += 1
+        if perf.enabled():
+            perf.add("engine.windows")
+        return self._macro_pend(run, grid[:m + 1])
 
     def _macro_change_cap(self, t: float) -> Optional[float]:
         """Earliest future time at which a tick's *inputs* may change.
@@ -1201,77 +1568,49 @@ class FluidExecutor:
         """Arm a jump from the probe tick at ``t``; returns the wake event.
 
         The tick grid is generated by the same repeated ``g + tick``
-        float addition the per-tick loop performs, so every skipped tick
-        and the wake-up land on the exact floats of a normal run.  Grid
-        point ``k`` (1-based) is skipped for ``k <= n`` and woken at for
-        ``k == n + 1``; skipped ticks must precede the change cap, the
-        wake-up must precede every foreign event strictly and every
-        boundary weakly.  In the drift regime the jump is additionally
-        shortened to the prefix over which the served amounts provably
-        stay bit-identical (:meth:`_macro_drift_check`).
+        float addition the per-tick loop performs (:func:`_grid`), so
+        every skipped tick and the wake-up land on the exact floats of a
+        normal run.  Grid point ``k`` (1-based) is skipped for ``k <= n``
+        and woken at for ``k == n + 1``; skipped ticks must precede the
+        change cap, the wake-up must precede every foreign event
+        strictly and every boundary weakly.  In the drift regime the
+        jump is additionally shortened to the prefix over which the
+        served amounts provably stay bit-identical
+        (:func:`_drift_prefix`).
         """
         cap, peek, bound = plan
-        tick = self.tick
-        grid: list[float] = []
-        g = t
-        while len(grid) <= self.macro_max_skip:
-            g = g + tick
-            if g >= peek or g > bound:
-                break
-            grid.append(g)
-        if len(grid) < 2:
+        grid = _grid(t, self.tick, self.macro_max_skip + 1, min(peek, bound))
+        lim = _prefix((grid < peek) & (grid <= bound)) - 1
+        if lim < 1:
             return None
-        n = 0
-        lim = len(grid) - 1
-        while n < lim and grid[n] < cap:
-            n += 1
-        if drift and n >= 1:
-            n = self._macro_drift_check(record, n)
+        n = _prefix(grid[:lim] < cap)
+        if drift:
+            n = _drift_prefix(self._backlog, record, n)
         if n < 1:
             return None
-        del grid[n + 1:]
-        wake = self.env.event_at(grid[n])
-        self._macro_pending = [t, n, record, wake, grid, 0, drift]
         self.macro_jumps += 1
         if perf.enabled():
             perf.add("engine.macro_jumps")
+        run = _Run(n, record.increments(), drift=record if drift else None)
+        return self._macro_pend(run, grid[:n + 1])
+
+    def _macro_pend(self, run: _Run, grid: np.ndarray) -> object:
+        """Leave ``run`` pending over ``grid[:-1]`` and schedule the
+        wake-up, a real tick, at ``grid[-1]``."""
+        wake = self.env.event_at(float(grid[-1]))
+        self._macro_pending = [run, wake, grid, 0]
         return wake
-
-    def _macro_drift_check(self, record: _TickRecord, n: int) -> int:
-        """Longest prefix of ``n`` drift ticks with constant served flow.
-
-        With arrivals, capacities and routing frozen by the change cap,
-        the only moving state is the backlog, whose per-tick update is
-        ``queue = backlog + arrivals; served = min(queue, cap);
-        backlog = queue − served``.  Every other quantity a tick
-        computes stays bit-identical as long as ``served`` does — so the
-        recurrence is simulated forward here (three vector ops per tick,
-        no routing/egress work) and the jump truncated at the first tick
-        whose served amounts deviate (a queue newly saturating or
-        draining empty).
-        """
-        arrivals, caps = record.arrivals, record.caps
-        s_bytes = record.served.tobytes()
-        b = self._backlog
-        k = 0
-        while k < n:
-            queue = b + arrivals
-            s_k = np.minimum(queue, caps)
-            if s_k.tobytes() != s_bytes:
-                break
-            b = queue - s_k
-            k += 1
-        return k
 
     def _macro_settle(self, now: float, mutating: bool) -> None:
         """Account skipped ticks up to ``now`` (called before mutations).
 
         Called from the outside world (manager, failure driver, tests)
-        before anything observes or mutates the engine.  Skipped ticks
-        at or before ``now`` are replayed; if the caller mutates state
-        (``mutating=True``) and skipped ticks remain beyond ``now``,
-        those must be recomputed for real: the stale wake-up is lazily
-        cancelled and the tick process interrupted to realign.
+        before anything observes or mutates the engine.  Pending ticks
+        of a jump or window at or before ``now`` are committed; if the
+        caller mutates state (``mutating=True``) and pending ticks
+        remain beyond ``now``, those must be recomputed for real: the
+        stale wake-up is lazily cancelled and the tick process
+        interrupted to realign.
 
         When no process is active the caller runs at a ``run(until=s)``
         horizon, *after* the kernel processed every event at ``s`` — in
@@ -1284,66 +1623,46 @@ class FluidExecutor:
         pending = self._macro_pending
         if pending is None:
             return
-        _start, n, record, wake, grid, acc, drift = pending
-        inclusive = self.env.active_process is None
-        k = acc
-        if inclusive:
-            while k < n and grid[k] <= now:
-                k += 1
-        else:
-            while k < n and grid[k] < now:
-                k += 1
+        run, wake, grid, acc = pending
+        n = run.n
+        side = "right" if self.env.active_process is None else "left"
+        k = max(acc, int(np.searchsorted(grid[:n], now, side=side)))
         if k > acc:
-            self._macro_replay(record, k - acc, drift)
-            pending[5] = k
+            self._macro_commit(run, acc, k)
+            pending[3] = k
         if k >= n:
             # Fully accounted: the wake-up (a real tick) stays valid even
             # across a mutation, exactly like per-tick mode's next step.
             return
         if mutating:
             self._macro_pending = None
-            self._macro_resume_at = grid[k]
+            self._macro_resume_at = float(grid[k])
             wake.cancel()
             self._process.interrupt()
 
     def _macro_wake_settle(self) -> None:
-        """Settle the jump at its wake-up (all skipped ticks replay)."""
-        pending = self._macro_pending
+        """Settle the jump or window at its wake-up (all ticks commit)."""
+        run, _wake, _grid, acc = self._macro_pending
         self._macro_pending = None
-        _start, n, record, _wake, _grid, acc, drift = pending
-        if n > acc:
-            self._macro_replay(record, n - acc, drift)
+        if run.n > acc:
+            self._macro_commit(run, acc, run.n)
 
-    def _macro_replay(self, record: _TickRecord, k: int, drift: bool) -> None:
-        """Replay ``k`` stationary ticks' accumulator increments.
-
-        Elementwise repeated float addition reproduces exactly what the
-        per-tick loop would have computed: a stationary tick's increments
-        are bit-identical from tick to tick, and the accumulators advance
-        by the same ``+=`` sequence.  In the drift regime the backlog is
-        additionally advanced by the exact three-op recurrence of the
-        per-tick processing phase (same operand arrays, same order, so
-        the same floats); :meth:`_macro_drift_check` already proved the
-        served amounts constant over the whole jump.
-        """
-        if drift:
-            arrivals, caps = record.arrivals, record.caps
-            b = self._backlog
-            for _ in range(k):
-                record.add_to(self)
-                queue = b + arrivals
-                served = np.minimum(queue, caps)
-                b = queue - served
-            self._backlog = b
-        else:
-            for _ in range(k):
-                record.add_to(self)
+    def _macro_commit(self, run: _Run, a: int, b: int) -> None:
+        """Commit ticks ``a..b−1`` of a pending jump or window: the
+        accumulators advance as a per-tick loop's ``+=`` would have
+        advanced them, and the fluid state becomes tick ``b − 1``'s."""
+        run.commit(self, a, b)
+        k = b - a
         self.macro_ticks_skipped += k
         if perf.enabled():
             perf.add("engine.ticks", k)
             perf.add("engine.macro_ticks_skipped", k)
+            if run.backlog is not None:
+                perf.add("engine.window_ticks", k)
         if _validate.enabled():
-            _validate.checker().after_macro_jump(self, k)
+            stacked = () if run.backlog is None else (
+                run.backlog[a:b], run.egress[a:b])
+            _validate.checker().after_macro_jump(self, k, *stacked)
 
     # -- interval accounting -----------------------------------------------------------
 

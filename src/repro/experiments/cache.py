@@ -31,9 +31,10 @@ S29 adds three warm-path layers in front of the disk entries:
   code it imported, so its keys must not follow later edits on disk
   (a re-keyed daemon would store old-code rows under the new code's
   key, and a fresh process would serve them as warm hits).
-* a **serving LRU** of deserialized rows keyed by the content hash
-  (:func:`enable_serve_tier`; off by default so one-shot CLI semantics
-  are unchanged) — a warm hit skips JSON parsing entirely.
+* a **serving LRU** of deserialized rows keyed by the content hash,
+  owned by whoever serves (each serve daemon has its own; one-shot CLI
+  runs have none) and passed to :func:`serve_lookup` — a warm hit
+  skips JSON parsing entirely.
 * a **delta-keyed secondary index**: every stored entry also registers
   one masked key per :data:`DELTA_FIELDS` member (the fingerprint minus
   that field).  A request differing from a cached base in only that
@@ -62,9 +63,9 @@ Knobs (resolved per call, so tests can redirect freely):
 ``REPRO_CACHE_MAX_MB``
     Size cap in MiB before oldest-first eviction (default 64).
 ``REPRO_SERVE_LRU``
-    Serving-LRU capacity in entries when the tier is enabled
-    (default 512; 0 disables the tier even if enabled).  The serve
-    daemon bounds its request memo by the same capacity.
+    Default capacity in entries of a serve daemon's LRU
+    (:func:`serving_lru`; default 512, 0 for none).  The daemon bounds
+    its request memo by the same capacity.
 
 Hits and misses are counted via :mod:`repro.util.perf` (``cache.hits`` /
 ``cache.misses``, plus ``cache.lru_hits`` / ``cache.delta_hits`` /
@@ -110,9 +111,7 @@ __all__ = [
     "gate",
     "run_cell",
     "BoundedLRU",
-    "enable_serve_tier",
-    "disable_serve_tier",
-    "serve_tier_enabled",
+    "serving_lru",
     "stats",
     "top_entries",
     "clear",
@@ -208,8 +207,6 @@ _pending_lock = threading.Lock()
 #: the manifest is advisory and self-corrects via rebuild/eviction.
 _manifest_lock = threading.RLock()
 
-_serve_lru: Optional["BoundedLRU"] = None
-
 
 def enable() -> None:
     """Turn the result cache on for this process."""
@@ -299,28 +296,17 @@ class BoundedLRU:
             self._items.clear()
 
 
-def enable_serve_tier(capacity: Optional[int] = None) -> int:
-    """Activate the in-memory serving LRU (``REPRO_SERVE_LRU`` entries).
+def serving_lru(capacity: Optional[int] = None) -> Optional[BoundedLRU]:
+    """A fresh serving LRU of ``capacity`` entries (default
+    ``REPRO_SERVE_LRU``), or ``None`` for a capacity of 0.
 
-    Off by default: the one-shot CLI runs cells once per process, so an LRU
-    would only shadow the per-test/per-run cache directories.  The serve
-    daemon turns it on at boot.  Returns the capacity in force (0: off).
+    Its owner passes it to :func:`serve_lookup` and puts the rows it
+    simulates into it: each serve daemon has its own, so one daemon's
+    boot or stop never touches another's.  The one-shot CLI runs cells
+    once per process and has none.
     """
-    global _serve_lru
     cap = max(0, _lru_capacity() if capacity is None else int(capacity))
-    _serve_lru = BoundedLRU(cap) if cap else None
-    return cap
-
-
-def disable_serve_tier() -> None:
-    """Drop the serving LRU (the default state)."""
-    global _serve_lru
-    _serve_lru = None
-
-
-def serve_tier_enabled() -> bool:
-    """Whether the in-memory serving LRU is active."""
-    return _serve_lru is not None
+    return BoundedLRU(cap) if cap else None
 
 
 # -- keys ---------------------------------------------------------------------
@@ -799,23 +785,28 @@ def _bypass(scenario: Scenario) -> bool:
 
 
 def serve_lookup(
-    scenario: Scenario, policy_name: str, key: Optional[str] = None
+    scenario: Scenario,
+    policy_name: str,
+    key: Optional[str] = None,
+    lru: Optional[BoundedLRU] = None,
 ) -> Optional[tuple[SweepRow, str]]:
-    """Warm-path lookup: serving LRU → disk entry → delta index.
+    """Warm-path lookup: the caller's serving LRU → disk entry → delta
+    index.
 
     Returns ``(row, tier)`` with ``tier`` one of ``"lru"``, ``"disk"``,
     ``"delta"``; ``None`` means the cell is cold (or bypassed) and must
-    be simulated.  Delta-derived rows are materialized as full entries
-    (inheriting the base ledger), so the next identical request is a
-    plain warm hit.  ``key`` is the cell's :func:`cache_key`, for
-    callers that already hashed it (hashing costs tens of µs).
+    be simulated.  Disk and delta rows are put in ``lru``.
+    Delta-derived rows are materialized as full entries (inheriting the
+    base ledger), so the next identical request is a plain warm hit.
+    ``key`` is the cell's :func:`cache_key`, for callers that already
+    hashed it (hashing costs tens of µs).
     """
     if _bypass(scenario):
         return None
     if key is None:
         key = cache_key(scenario, policy_name)
-    if _serve_lru is not None:
-        row = _serve_lru.get(key)
+    if lru is not None:
+        row = lru.get(key)
         if row is not None:
             perf.add("cache.hits")
             perf.add("cache.lru_hits")
@@ -826,8 +817,8 @@ def serve_lookup(
     if row is not None:
         perf.add("cache.hits")
         _trace.emit("cache_hit", t=0.0, key=key, policy=policy_name)
-        if _serve_lru is not None:
-            _serve_lru.put(key, row)
+        if lru is not None:
+            lru.put(key, row)
         return row, "disk"
     derived = delta_lookup(scenario, policy_name)
     if derived is not None:
@@ -850,8 +841,8 @@ def serve_lookup(
             fingerprint=scenario.fingerprint(),
             ledger=base.get("ledger") if base else None,
         )
-        if _serve_lru is not None:
-            _serve_lru.put(key, row)
+        if lru is not None:
+            lru.put(key, row)
         return row, "delta"
     return None
 
@@ -863,11 +854,11 @@ def gate(
     """Pass ``cells`` through the cache, simulating only the misses.
 
     Every sweep cell goes through here, whichever engine runs it.  Warm
-    answers come from :func:`serve_lookup` (LRU / disk / delta).  The
+    answers come from :func:`serve_lookup` (disk / delta).  The
     remaining cells go to ``simulate`` in one call, which returns one
     :class:`~repro.engine.manager.RunResult` per cell, in order.  Each
-    fresh row is stored with its fingerprint and VM ledger and put in
-    the serving LRU.  Bypassed cells (:func:`_bypass`) are simulated
+    fresh row is stored with its fingerprint and VM ledger.  Bypassed
+    cells (:func:`_bypass`) are simulated
     but never looked up or stored.  Rows come back in input order.
     """
     rows: list[Optional[SweepRow]] = [None] * len(cells)
@@ -897,24 +888,30 @@ def gate(
             fingerprint=scenario.fingerprint(),
             ledger=result.vm_ledger,
         )
-        if _serve_lru is not None:
-            _serve_lru.put(key, row)
     return rows  # type: ignore[return-value]
 
 
-def run_cell(scenario: Scenario, policy_name: str) -> SweepRow:
+def run_cell(
+    scenario: Scenario, policy_name: str, lru: Optional[BoundedLRU] = None
+) -> SweepRow:
     """One cell through :func:`repro.experiments.runner.run_cells`.
 
-    The serve daemon's cold path: the pool runs one cell per job.
+    The serve daemon's cold path: the pool runs one cell per job, and
+    the row goes into the daemon's serving ``lru`` unless the cell
+    bypasses the cache.
     """
-    return run_cells([(scenario, policy_name)])[0]
+    row = run_cells([(scenario, policy_name)])[0]
+    if lru is not None and not _bypass(scenario):
+        lru.put(cache_key(scenario, policy_name), row)
+    return row
 
 
 # -- maintenance --------------------------------------------------------------
 
 
-def stats() -> dict:
-    """Cache state: directory, enablement, entry count, sizes, hit stats."""
+def stats(lru: Optional[BoundedLRU] = None) -> dict:
+    """Cache state: directory, enablement, entry count, sizes, hit stats,
+    and the fill of a serving LRU, when one is given."""
     directory = cache_dir()
     with _manifest_lock:
         manifest = (
@@ -936,8 +933,8 @@ def stats() -> dict:
         "hits": hits,
         "mean_hit_ms": (hit_ns / hits / 1e6) if hits else None,
         "delta_keys": len(manifest.get("delta", {})),
-        "lru_entries": len(_serve_lru) if _serve_lru is not None else 0,
-        "lru_capacity": _serve_lru.capacity if _serve_lru is not None else 0,
+        "lru_entries": len(lru) if lru is not None else 0,
+        "lru_capacity": lru.capacity if lru is not None else 0,
     }
 
 
@@ -976,7 +973,7 @@ def top_entries(n: int = 10) -> list[dict]:
 def clear() -> int:
     """Delete every cache entry; returns the number removed.
 
-    The manifest and the serving LRU are dropped too (not counted)."""
+    The manifest is dropped too (not counted)."""
     directory = cache_dir()
     removed = 0
     if directory.is_dir():
@@ -992,8 +989,6 @@ def clear() -> int:
             _manifest_path(directory).unlink()
         except OSError:
             pass
-    if _serve_lru is not None:
-        _serve_lru.clear()
     with _pending_lock:
         _pending_hits.clear()
     return removed

@@ -58,9 +58,12 @@ def _simulate(cells: list[tuple[Scenario, str]]) -> list[RunResult]:
 
     A group of cells sharing (interval, horizon, tick) runs in one
     :class:`BatchRunner`; a lone cell runs on its own :class:`RunManager`,
-    because a one-cell batch is slower than the serial engine (1.1–1.9×
-    on constant, wave and walk cells, 2-vCPU Xeon) while a two-cell
-    batch already takes 0.69–0.79× the time of two serial runs.  Cells
+    because a one-cell batch is slower than the serial engine (0.95–1.23×
+    on constant and walk cells, 2.2× on wave cells, which the serial
+    engine advances in windows; 2-vCPU Xeon), while a two-cell batch
+    takes 0.79–0.83× the time of two serial runs on constant and walk
+    cells.  On wave cells the crossover moved: two cells batch at 1.2–1.3×
+    the serial time, four at 0.8×, the 24-cell fig8 grid at 0.54×.  Cells
     with failure, revocation or checkpoint machinery always run
     serially: their drivers rebuild fleets mid-interval, and the batch
     packs its state only at interval boundaries.

@@ -243,8 +243,9 @@ class _Handler(BaseHTTPRequestHandler):
 
         results = []
         cold: list[tuple[str, str, object]] = []
+        lru = daemon.lru
         for policy, key in cells:
-            warm = cache.serve_lookup(scenario, policy, key)
+            warm = cache.serve_lookup(scenario, policy, key, lru)
             if warm is not None:
                 row, tier = warm
                 daemon.count("warm_rows")
@@ -256,7 +257,7 @@ class _Handler(BaseHTTPRequestHandler):
                 # already queued still run and warm the cache for the
                 # client's retry.
                 job = daemon.pool.submit(
-                    lambda s=scenario, p=policy: cache.run_cell(s, p)
+                    lambda s=scenario, p=policy: cache.run_cell(s, p, lru)
                 )
                 cold.append((policy, key, job))
         for policy, key, job in cold:
@@ -376,9 +377,14 @@ class ServeDaemon:
         self.httpd = ThreadingHTTPServer((host, port), handler)
         self.httpd.daemon_threads = True
         self.pool = WorkerPool(workers=workers, queue_depth=queue_depth)
-        capacity = cache.enable_serve_tier(lru_capacity)
-        #: Exact ``/run`` body bytes → (scenario, ((policy, key), ...)).
-        self._memo = cache.BoundedLRU(capacity) if capacity else None
+        #: This daemon's serving LRU: content key → row.
+        self.lru = cache.serving_lru(lru_capacity)
+        #: Exact ``/run`` body bytes → (scenario, ((policy, key), ...)),
+        #: bounded like the LRU.
+        self._memo = (
+            cache.BoundedLRU(self.lru.capacity)
+            if self.lru is not None else None
+        )
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -431,7 +437,8 @@ class ServeDaemon:
         for conn in conns:
             _hang_up(conn)
         self.pool.shutdown(timeout=timeout)
-        cache.disable_serve_tier()
+        if self.lru is not None:
+            self.lru.clear()
         if self._thread is not None:
             self._thread.join(timeout)
         self._stopped.set()
@@ -494,7 +501,7 @@ class ServeDaemon:
             "connections": connections,
             "streamers": self.broadcast.streamers(),
             "pool": self.pool.stats(),
-            "cache": cache.stats(),
+            "cache": cache.stats(self.lru),
         }
 
 

@@ -299,22 +299,7 @@ class InvariantChecker:
     def after_tick(self, executor) -> None:
         """Queue-sanity checks, run once per fluid tick."""
         t = executor.env.now
-        backlog = executor._backlog
-        if backlog.size and float(backlog.min()) < -_EPS:
-            self.fail(
-                "engine.executor.queue",
-                t,
-                "negative input-queue backlog",
-                min_backlog=float(backlog.min()),
-            )
-        egress = executor._egress
-        if egress.size and float(egress.min()) < -_EPS:
-            self.fail(
-                "engine.executor.queue",
-                t,
-                "negative egress buffer",
-                min_egress=float(egress.min()),
-            )
+        self._check_buffers(t, executor._backlog, executor._egress)
         for buf in executor._migrating:
             if buf.messages < -_EPS:
                 self.fail(
@@ -334,14 +319,38 @@ class InvariantChecker:
                     messages=pending,
                 )
 
-    def after_macro_jump(self, executor, n_skipped: int) -> None:
-        """Ledger hook for the macro-stepping executor settling a jump.
+    def _check_buffers(self, t: float, backlog, egress) -> None:
+        """No negative input queue or egress buffer, in one tick's state
+        or in a stack of them (leading time axis)."""
+        if backlog.size and float(backlog.min()) < -_EPS:
+            self.fail(
+                "engine.executor.queue",
+                t,
+                "negative input-queue backlog",
+                min_backlog=float(backlog.min()),
+            )
+        if egress.size and float(egress.min()) < -_EPS:
+            self.fail(
+                "engine.executor.queue",
+                t,
+                "negative egress buffer",
+                min_egress=float(egress.min()),
+            )
 
-        The engine proved the fluid state bitwise-stationary across the
-        ``n_skipped`` skipped ticks, so a single queue-sanity sweep is
-        exactly equivalent to having run :meth:`after_tick` at each of
-        them; the interval conservation ledger sees the replayed
-        accumulators through the normal :meth:`after_interval` path.
+    def after_macro_jump(self, executor, n_skipped: int, backlog=None,
+                         egress=None) -> None:
+        """Ledger hook for the macro-stepping executor settling ticks it
+        did not step: a jump's or a window's.
+
+        A jump's served flow is constant over its ticks, so every queue
+        moves linearly (stationary, or drifting at a fixed rate) and the
+        states before and after it bound every skipped tick's: one
+        queue-sanity sweep of the final state is equivalent to having
+        run :meth:`after_tick` at each of them.  A window's state is not
+        stationary: the engine passes the stacked ``backlog`` / ``egress``
+        of every committed tick, and each is checked.  The interval
+        conservation ledger sees the replayed accumulators through the
+        normal :meth:`after_interval` path.
         """
         if n_skipped < 0:
             self.fail(
@@ -350,6 +359,8 @@ class InvariantChecker:
                 "macro jump settled a negative tick count",
                 n_skipped=n_skipped,
             )
+        if backlog is not None:
+            self._check_buffers(executor.env.now, backlog, egress)
         self.after_tick(executor)
 
     def note_selection_change(self, executor) -> None:

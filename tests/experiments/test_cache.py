@@ -526,31 +526,35 @@ class TestManifest:
 
 
 class TestServeTier:
-    @pytest.fixture(autouse=True)
-    def _lru(self):
-        cache.enable_serve_tier(8)
-        yield
-        cache.disable_serve_tier()
+    @pytest.fixture
+    def lru(self):
+        return cache.serving_lru(8)
 
-    def test_tiers_in_order_lru_last(self):
+    def test_tiers_in_order_lru_last(self, lru):
         scenario = quick_scenario()
-        assert cache.serve_lookup(scenario, "static-local") is None
-        cold = cache.run_cell(scenario, "static-local")  # miss → fills LRU
-        row, tier = cache.serve_lookup(quick_scenario(), "static-local")
+        assert cache.serve_lookup(scenario, "static-local", lru=lru) is None
+        cold = cache.run_cell(scenario, "static-local", lru)  # fills LRU
+        row, tier = cache.serve_lookup(
+            quick_scenario(), "static-local", lru=lru
+        )
         assert tier == "lru" and row == cold
-        cache._serve_lru.clear()
-        row, tier = cache.serve_lookup(quick_scenario(), "static-local")
+        lru.clear()
+        row, tier = cache.serve_lookup(
+            quick_scenario(), "static-local", lru=lru
+        )
         assert tier == "disk" and row == cold
         # The disk hit refilled the LRU.
-        row, tier = cache.serve_lookup(quick_scenario(), "static-local")
+        row, tier = cache.serve_lookup(
+            quick_scenario(), "static-local", lru=lru
+        )
         assert tier == "lru"
 
     def test_lru_capacity_bounded(self):
-        cache.enable_serve_tier(2)
+        lru = cache.serving_lru(2)
         for rate in (2.0, 3.0, 4.0):
-            cache.run_cell(quick_scenario(rate=rate), "static-local")
-        assert len(cache._serve_lru) == 2
-        assert cache.stats()["lru_entries"] == 2
+            cache.run_cell(quick_scenario(rate=rate), "static-local", lru)
+        assert len(lru) == 2
+        assert cache.stats(lru)["lru_entries"] == 2
 
     @settings(
         max_examples=6,
@@ -568,19 +572,16 @@ class TestServeTier:
     def test_lru_disk_cold_bit_identity(self, rate, seed, policy):
         """Property: every serving tier returns the cold row bit-for-bit."""
         scenario = quick_scenario(rate=rate, seed=seed)
-        try:
-            cache.enable_serve_tier(8)
-            ref = SweepRow.from_result(scenario, run_policy(scenario, policy))
-            mine = cache.run_cell(quick_scenario(rate=rate, seed=seed), policy)
-            assert mine == ref  # cold path through the cache
-            lru_row, lru_tier = cache.serve_lookup(
-                quick_scenario(rate=rate, seed=seed), policy
-            )
-            assert lru_tier == "lru" and lru_row == ref
-            cache._serve_lru.clear()
-            disk_row, disk_tier = cache.serve_lookup(
-                quick_scenario(rate=rate, seed=seed), policy
-            )
-            assert disk_tier == "disk" and disk_row == ref
-        finally:
-            cache.disable_serve_tier()
+        lru = cache.serving_lru(8)
+        ref = SweepRow.from_result(scenario, run_policy(scenario, policy))
+        mine = cache.run_cell(quick_scenario(rate=rate, seed=seed), policy, lru)
+        assert mine == ref  # cold path through the cache
+        lru_row, lru_tier = cache.serve_lookup(
+            quick_scenario(rate=rate, seed=seed), policy, lru=lru
+        )
+        assert lru_tier == "lru" and lru_row == ref
+        lru.clear()
+        disk_row, disk_tier = cache.serve_lookup(
+            quick_scenario(rate=rate, seed=seed), policy, lru=lru
+        )
+        assert disk_tier == "disk" and disk_row == ref

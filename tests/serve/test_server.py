@@ -19,7 +19,6 @@ import urllib.request
 
 import pytest
 
-from repro.experiments import cache
 from repro.experiments.runner import SweepRow
 from repro.experiments.scenarios import Scenario, run_policy
 from repro.obs import collector as _trace
@@ -548,36 +547,48 @@ def _workers() -> set[threading.Thread]:
 class TestBoot:
     def test_stop_without_start_returns(self):
         """stop() on a daemon that never served returns promptly, with
-        its workers gone and the serving tier off, as after a start."""
-        tier_was_on = cache.serve_tier_enabled()
+        its workers gone and its serving LRU emptied, as after a start."""
         before = _workers()
         daemon = ServeDaemon(workers=1)
+        daemon.lru.put("key", "row")
         stopper = threading.Thread(target=daemon.stop, daemon=True)
         stopper.start()
         stopper.join(10)
-        try:
-            assert not stopper.is_alive()
-            assert not cache.serve_tier_enabled()
-            assert not _workers() - before
-        finally:
-            if tier_was_on:
-                cache.enable_serve_tier()
+        assert not stopper.is_alive()
+        assert len(daemon.lru) == 0
+        assert not _workers() - before
 
     def test_failed_bind_starts_nothing(self):
-        """A busy port fails the constructor before any worker starts or
-        the process-global serving tier changes."""
-        tier_was_on = cache.serve_tier_enabled()
+        """A busy port fails the constructor before any worker starts,
+        and a running daemon's serving LRU stays as it was."""
+        running = ServeDaemon(workers=1, lru_capacity=4)
+        running.lru.put("key", "row")
         before = _workers()
-        with socket.create_server(("127.0.0.1", 0)) as busy:
-            port = busy.getsockname()[1]
-            try:
+        try:
+            with socket.create_server(("127.0.0.1", 0)) as busy:
+                port = busy.getsockname()[1]
                 for _ in range(3):
                     with pytest.raises(OSError):
                         ServeDaemon(port=port, workers=2)
                 leaked = _workers() - before
-                assert cache.serve_tier_enabled() == tier_was_on
-            finally:
-                if not tier_was_on:
-                    cache.disable_serve_tier()
+                assert running.lru.get("key") == "row"
+        finally:
+            running.stop()
         assert not leaked, sorted(t.name for t in leaked)
+
+    def test_stopping_one_daemon_keeps_the_others_lru(self):
+        """Each daemon owns its serving LRU: starting and stopping a
+        second daemon leaves the first one answering from its own."""
+        a = ServeDaemon(workers=1, lru_capacity=8).start()
+        try:
+            with ServeClient(a.url) as client:
+                first = client.run(SCENARIO, ["static-local"])
+                assert first["results"][0]["tier"] == "cold"
+                b = ServeDaemon(workers=1, lru_capacity=8).start()
+                b.stop()
+                again = client.run(SCENARIO, ["static-local"])
+        finally:
+            a.stop()
+        assert again["results"][0]["tier"] == "lru"
+        assert again["results"][0]["row"] == first["results"][0]["row"]
 

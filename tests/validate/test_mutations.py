@@ -115,6 +115,41 @@ def test_negative_buffer_in_one_batch_column_caught_at_next_tick():
     assert exc.details["pe"] == "E1"
 
 
+def test_corrupted_middle_tick_of_a_window_caught(monkeypatch):
+    """A window commits its last tick's state, but the checker sees the
+    state after every tick it committed: a negative queue in a middle
+    tick of a window's stacked backlog is caught even though the final
+    state is clean."""
+    from repro.engine import executor
+    from repro.workloads import PeriodicWave
+
+    df = fig1_dataflow()
+    env, provider, ex, _ = _deployed(df, {"E1": 4.0})
+    ex.profiles["E1"] = PeriodicWave(4.0, period=300.0)
+    ex.macro_enabled = True  # windows on, whatever the environment says
+    window_pass = executor._window_pass
+    poked = []
+
+    def corrupt(*args):
+        m, rec, backlog, egress = window_pass(*args)
+        if m >= 3 and not poked:
+            backlog = backlog.copy()
+            backlog[m // 2].flat[0] = -1.0
+            poked.append(m)
+        return m, rec, backlog, egress
+
+    monkeypatch.setattr(executor, "_window_pass", corrupt)
+    with invariants.checking():
+        ex.start()
+        with pytest.raises(invariants.InvariantViolation) as exc_info:
+            env.run(until=300.0)
+    assert poked
+    assert float(ex._backlog.min()) >= 0.0  # the committed state is clean
+    exc = exc_info.value
+    assert exc.site == "engine.executor.queue"
+    assert exc.details["min_backlog"] == -1.0
+
+
 def test_double_registered_instance_is_double_billing():
     catalog = aws_2013_catalog()
     provider = CloudProvider(catalog)
