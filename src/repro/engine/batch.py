@@ -74,8 +74,9 @@ from ..obs import collector as _obs
 from ..util import perf
 from ..validate import invariants as _validate
 from .executor import (
-    _CoefGroup, _drift_prefix, _flow_phases, _grid, _macro_default,
-    _prefix, _Run, _SpeedPhase, _TickRecord,
+    _MACRO_BACKOFF, _MACRO_MAX_SKIP, _CoefGroup, _drift_prefix,
+    _flow_phases, _grid, _macro_default, _prefix, _Run, _SpeedPhase,
+    _TickRecord,
 )
 from .manager import RunManager, RunResult, RunState
 # Unused here (the run lifecycle reconciles through ``repro.engine.manager``),
@@ -166,12 +167,6 @@ class BatchRunner:
     macrostep:
         Column-wise macro-stepping; ``None`` follows ``REPRO_MACROSTEP``.
     """
-
-    #: Hard cap on ticks skipped per macro jump (mirrors FluidExecutor).
-    macro_max_skip = 4096
-    #: Gate backoff when no constant window is provable (mirrors the
-    #: serial engine's ``_macro_backoff_ticks``).
-    macro_backoff_ticks = 64.0
 
     def __init__(
         self,
@@ -551,7 +546,7 @@ class BatchRunner:
         for st in pack.states:
             c = st.ex._macro_change_cap(t)
             if c is None:
-                st.backoff = t + self.macro_backoff_ticks * tick
+                st.backoff = t + _MACRO_BACKOFF * tick
                 pack.gate_at = max(s.backoff for s in pack.states)
                 return None
             if c < cap:
@@ -599,7 +594,7 @@ class BatchRunner:
                 or ex._migrating != pre_misc[c][1]
             ):
                 return t
-        grid = _grid(t, tick, self.macro_max_skip, min(b, cap))
+        grid = _grid(t, tick, _MACRO_MAX_SKIP, min(b, cap))
         k = _prefix((grid <= b) & (grid < cap))
         if rec is not None:
             k = _drift_prefix(pack._backlog, rec, k)

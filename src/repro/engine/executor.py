@@ -75,7 +75,7 @@ probe tick so every ledger ends up bit-identical to a tick-by-tick run
   wake-up, or — when a mutation (sync / failure / alternate switch /
   interval roll) arrives mid-jump — up to the mutation time, with the
   remaining ticks re-executed for real after an interrupt cancels the
-  stale wake-up (the calendar queue's lazy cancellation).
+  stale wake-up (the kernel's lazy cancellation).
 
 **Window ticks.**  A rate that never holds still (the paper's periodic
 waves) defeats the change cap, yet a run's *regime* — phase 1's
@@ -305,6 +305,12 @@ _ACC = ("_acc_deliverable", "_acc_external", "_acc_arrivals",
 #: :func:`_drift_prefix`: long runs go through in chunks, so no stacked
 #: array grows with a jump's length.
 _CHUNK = 1 << 18
+
+#: Macro jumps, in both engines: the most ticks one jump skips (bounds
+#: plan and replay work), and the gate backoff (in ticks) once no
+#: constant window can be proven at all.
+_MACRO_MAX_SKIP = 4096
+_MACRO_BACKOFF = 64.0
 
 #: Window ticks: the most grid points one window stacks, the most passes
 #: it runs to verify them, and the gate backoff (in ticks) after a window
@@ -909,8 +915,6 @@ class FluidExecutor:
         self.macro_enabled = (
             _macro_default() if macrostep is None else bool(macrostep)
         )
-        #: Hard cap on ticks skipped per jump (bounds plan/replay work).
-        self.macro_max_skip = 4096
         self.macro_jumps = 0
         self.macro_ticks_skipped = 0
         self.ticks_executed = 0
@@ -924,11 +928,10 @@ class FluidExecutor:
         self._macro_coef_res: list[float] = []
         #: Gate backoff: when no constant window can be proven at all (a
         #: continuously-varying profile, an opaque performance model) the
-        #: situation is almost always permanent, so the gate sleeps for a
-        #: stretch of ticks instead of re-proving the impossibility every
-        #: tick.  Purely an overhead bound — jumps are best-effort.
+        #: situation is almost always permanent, so the gate sleeps for
+        #: ``_MACRO_BACKOFF`` ticks instead of re-proving the impossibility
+        #: every tick.  Purely an overhead bound — jumps are best-effort.
         self._macro_backoff_until = -math.inf
-        self._macro_backoff_ticks = 64.0
         #: Windows armed, and the window gate's own backoff.
         self.windows = 0
         self._window_backoff_until = -math.inf
@@ -1403,7 +1406,7 @@ class FluidExecutor:
             # in __init__), so sleep the gate rather than re-proving
             # the impossibility on every tick.  Jumps are best-effort:
             # a missed opportunity never affects equivalence.
-            self._macro_backoff_until = t + self._macro_backoff_ticks * tick
+            self._macro_backoff_until = t + _MACRO_BACKOFF * tick
             return None
         if cap <= t + tick:
             return None
@@ -1579,7 +1582,7 @@ class FluidExecutor:
         (:func:`_drift_prefix`).
         """
         cap, peek, bound = plan
-        grid = _grid(t, self.tick, self.macro_max_skip + 1, min(peek, bound))
+        grid = _grid(t, self.tick, _MACRO_MAX_SKIP + 1, min(peek, bound))
         lim = _prefix((grid < peek) & (grid <= bound)) - 1
         if lim < 1:
             return None

@@ -1,15 +1,10 @@
 """Discrete-event simulation substrate (S1).
 
-A dependency-free SimPy-style kernel plus stores, process helpers and
-reproducible random streams.  See :mod:`repro.sim.kernel` for the core
-event loop.
+A dependency-free SimPy-style kernel plus a FIFO store and reproducible
+random streams.  See :mod:`repro.sim.kernel` for the core event loop.
 """
 
-from .calqueue import CalendarQueue
 from .kernel import (
-    AllOf,
-    AnyOf,
-    Condition,
     Environment,
     Event,
     Interrupt,
@@ -18,28 +13,17 @@ from .kernel import (
     StopSimulation,
     Timeout,
 )
-from .process import Ticker, after, at_times, every
-from .queues import Container, PriorityStore, Store
+from .queues import Store
 from .rng import RandomStreams
 
 __all__ = [
-    "AllOf",
-    "AnyOf",
-    "CalendarQueue",
-    "Condition",
-    "Container",
     "Environment",
     "Event",
     "Interrupt",
-    "PriorityStore",
     "Process",
     "RandomStreams",
     "SimulationError",
     "StopSimulation",
     "Store",
-    "Ticker",
     "Timeout",
-    "after",
-    "at_times",
-    "every",
 ]

@@ -2,24 +2,32 @@
 
 This module implements a small, dependency-free discrete-event simulation
 (DES) core in the style of SimPy: an :class:`Environment` owns a virtual
-clock and a calendar queue of pending events (:mod:`repro.sim.calqueue`);
-generator functions are wrapped into :class:`Process` objects that advance
-by yielding events.
+clock and one binary heap of pending ``(when, prio, eid, event)``
+entries; generator functions are wrapped into :class:`Process` objects
+that advance by yielding events.
 
 The kernel is the foundation (substrate S1 in DESIGN.md) for the IaaS cloud
 simulator and the dataflow execution engine.  It supports:
 
 * absolute-time event scheduling with stable FIFO ordering for ties,
 * generator-based cooperative processes (``yield env.timeout(...)``),
-* event composition (:class:`AllOf`, :class:`AnyOf`),
 * process interruption (:meth:`Process.interrupt`),
 * O(1) lazy cancellation of scheduled events (:meth:`Event.cancel`),
 * bounded runs (``env.run(until=...)``) and step-wise execution.
 
-The event loop is a measured hot path (``kernel_events_per_s`` in
-``BENCH_engine.json``), so the inner functions here trade a little
-repetition for fewer attribute loads, no bound-method churn and inlined
-scheduling on the common same-day path.
+Entries pop in ``(when, prio, eid)`` order: time, then :data:`URGENT`
+before :data:`NORMAL`, then creation order, since the event id counts
+every push.  A cancelled entry is marked by its event's ``callbacks``
+being ``None`` (the same marker as "already processed"; a triggered
+event is queued at most once, so the states cannot collide) and is
+discarded when it surfaces.  The environment counts cancelled residents
+and filters them out once they are both numerous and the majority, so
+mass cancellation cannot degrade :meth:`Environment.run` beyond a linear
+sweep.
+
+Every simulated event passes through the event loop, so the inner
+functions here trade a little repetition for fewer attribute loads, no
+bound-method churn and inlined scheduling of timeouts.
 
 Example
 -------
@@ -37,20 +45,16 @@ Example
 
 from __future__ import annotations
 
-from heapq import heappop as _heappop, heappush
-from typing import Any, Callable, Generator, Iterable, Optional
+from heapq import heapify, heappop, heappush
+from typing import Any, Callable, Generator, Optional
 
 from ..obs import collector as _trace
-from .calqueue import CalendarQueue
 
 __all__ = [
     "Environment",
     "Event",
     "Timeout",
     "Process",
-    "Condition",
-    "AllOf",
-    "AnyOf",
     "Interrupt",
     "StopSimulation",
     "SimulationError",
@@ -105,6 +109,10 @@ URGENT = 0
 
 #: Default scheduling priority.
 NORMAL = 1
+
+#: Cancelled residents are filtered out of the heap once there are at
+#: least this many and they are a majority of its entries.
+_COMPACT_FLOOR = 1024
 
 
 class Event:
@@ -167,7 +175,7 @@ class Event:
         self._ok = True
         self._value = value
         env = self.env
-        env._queue.push(env._now, NORMAL, self)
+        env._push(env._now, NORMAL, self)
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -184,7 +192,7 @@ class Event:
         self._ok = False
         self._value = exception
         env = self.env
-        env._queue.push(env._now, NORMAL, self)
+        env._push(env._now, NORMAL, self)
         return self
 
     def trigger(self, event: "Event") -> None:
@@ -194,7 +202,7 @@ class Event:
         self._ok = event._ok
         self._value = event._value
         env = self.env
-        env._queue.push(env._now, NORMAL, self)
+        env._push(env._now, NORMAL, self)
 
     def cancel(self) -> bool:
         """Revoke a scheduled (triggered, not yet processed) event: O(1).
@@ -214,16 +222,12 @@ class Event:
         if self.callbacks is None:
             return False
         self.callbacks = None
-        self.env._queue.note_cancel()
+        env = self.env
+        n = env._ncancelled + 1
+        env._ncancelled = n
+        if n >= _COMPACT_FLOOR and 2 * n >= len(env._heap):
+            env._compact()
         return True
-
-    # -- composition ------------------------------------------------------
-
-    def __and__(self, other: "Event") -> "Condition":
-        return AllOf(self.env, [self, other])
-
-    def __or__(self, other: "Event") -> "Condition":
-        return AnyOf(self.env, [self, other])
 
 
 class Timeout(Event):
@@ -234,22 +238,17 @@ class Timeout(Event):
     def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
-        # Inlined Event.__init__ + same-day scheduling: Timeout creation is
-        # the single most frequent allocation in the simulator.
+        # Inlined Event.__init__ + scheduling: Timeout creation is the
+        # single most frequent allocation in the simulator.
         self.env = env
         self.callbacks = []
         self._value = value
         self._ok = True
         self._defused = False
         self.delay = delay
-        q = env._queue
-        when = env._now + delay
-        eid = q._eid
-        q._eid = eid + 1
-        if when < q._hi:
-            heappush(q._current, (when, NORMAL, eid, self))
-        else:
-            q._push_slow(when, NORMAL, eid, self)
+        eid = env._eid
+        env._eid = eid + 1
+        heappush(env._heap, (env._now + delay, NORMAL, eid, self))
 
     def __repr__(self) -> str:
         return f"<Timeout delay={self.delay:g}>"
@@ -266,7 +265,7 @@ class Initialize(Event):
         self._ok = True
         self._value = None
         self._defused = False
-        env._queue.push(env._now, URGENT, self)
+        env._push(env._now, URGENT, self)
 
 
 class Process(Event):
@@ -328,7 +327,7 @@ class Process(Event):
         event._value = Interrupt(cause)
         event._defused = True
         event.callbacks = [self._resume_interrupt]
-        self.env._queue.push(self.env._now, URGENT, event)
+        self.env._push(self.env._now, URGENT, event)
 
     # -- internal ----------------------------------------------------------
 
@@ -357,14 +356,14 @@ class Process(Event):
                 self._ok = True
                 self._value = stop.value
                 self._target = None
-                env._queue.push(env._now, NORMAL, self)
+                env._push(env._now, NORMAL, self)
                 break
             except BaseException as error:
                 self._ok = False
                 self._value = error
                 self._defused = False
                 self._target = None
-                env._queue.push(env._now, NORMAL, self)
+                env._push(env._now, NORMAL, self)
                 break
 
             # Exact-class test first: the overwhelming majority of yields
@@ -396,73 +395,6 @@ class Process(Event):
         env._active_process = None
 
 
-class Condition(Event):
-    """An event that triggers when ``evaluate`` is satisfied over events.
-
-    Building block for :class:`AllOf` / :class:`AnyOf`.  Failure of any
-    constituent fails the condition immediately.
-    """
-
-    __slots__ = ("_events", "_evaluate", "_count")
-
-    def __init__(
-        self,
-        env: "Environment",
-        evaluate: Callable[[int, int], bool],
-        events: Iterable[Event],
-    ) -> None:
-        super().__init__(env)
-        self._events = list(events)
-        self._evaluate = evaluate
-        self._count = 0
-
-        for event in self._events:
-            if event.env is not env:
-                raise SimulationError("cannot mix events from different environments")
-
-        if not self._events:
-            self.succeed(self._collect_values())
-            return
-
-        for event in self._events:
-            if event.callbacks is None:
-                self._check(event)
-            else:
-                event.callbacks.append(self._check)
-
-    def _collect_values(self) -> dict[Event, Any]:
-        return {e: e._value for e in self._events if e.triggered and e._ok}
-
-    def _check(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if not event._ok:
-            event._defused = True
-            self.fail(event._value)
-            return
-        self._count += 1
-        if self._evaluate(self._count, len(self._events)):
-            self.succeed(self._collect_values())
-
-
-class AllOf(Condition):
-    """Triggers once *all* constituent events have succeeded."""
-
-    __slots__ = ()
-
-    def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
-        super().__init__(env, lambda done, total: done == total, events)
-
-
-class AnyOf(Condition):
-    """Triggers once *any* constituent event has succeeded."""
-
-    __slots__ = ()
-
-    def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
-        super().__init__(env, lambda done, total: done >= 1, events)
-
-
 class Environment:
     """The simulation environment: virtual clock plus event queue.
 
@@ -474,7 +406,12 @@ class Environment:
 
     def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
-        self._queue = CalendarQueue()
+        #: The event queue: a binary heap of ``(when, prio, eid, event)``.
+        self._heap: list[tuple[float, int, int, Event]] = []
+        #: Next event id, the tie-break of the total order.
+        self._eid = 0
+        #: Lazily cancelled entries still resident in ``_heap``.
+        self._ncancelled = 0
         self._active_process: Optional[Process] = None
         #: Horizon of the innermost active :meth:`run` call (``inf``
         #: outside one or for ``run()``/``run(until=event)``).  Processes
@@ -514,44 +451,37 @@ class Environment:
         """Start a new :class:`Process` from ``generator``."""
         return Process(self, generator, name=name)
 
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        """Condition event triggering when all ``events`` have succeeded."""
-        return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Condition event triggering when any of ``events`` succeeds."""
-        return AnyOf(self, events)
-
-    def schedule_at(self, when: float, value: Any = None) -> Event:
-        """Create an event that succeeds at absolute time ``when``.
-
-        ``when`` is converted to a delay, so the fire time is the float
-        ``now + (when - now)``; use :meth:`event_at` when the *exact*
-        float ``when`` must be hit.
-        """
-        if when < self._now:
-            raise ValueError(f"cannot schedule in the past ({when} < {self._now})")
-        return self.timeout(when - self._now, value)
-
     def event_at(self, when: float, value: Any = None) -> Event:
         """Create an event that fires at *exactly* the float time ``when``.
 
-        Unlike :meth:`schedule_at` there is no delay round-trip: the queue
-        entry carries ``when`` verbatim.  The macro-stepping executor
-        relies on this to land wake-ups on the precise tick-grid floats
-        that repeated ``now + tick`` addition would have produced.
+        There is no delay round-trip: the queue entry carries ``when``
+        verbatim.  The macro-stepping executor relies on this to land
+        wake-ups on the precise tick-grid floats that repeated
+        ``now + tick`` addition would have produced.
         """
         if when < self._now:
             raise ValueError(f"cannot schedule in the past ({when} < {self._now})")
         ev = Event(self)
         ev._ok = True
         ev._value = value
-        self._queue.push(when, NORMAL, ev)
+        self._push(when, NORMAL, ev)
         return ev
 
     def peek(self) -> float:
-        """Time of the next scheduled live event, or ``inf`` if none."""
-        return self._queue.peek_when()
+        """Time of the next scheduled live event, or ``inf`` if none.
+
+        Skims cancelled heads off the heap as a side effect (safe: they
+        are invisible to every other operation).
+        """
+        heap = self._heap
+        while heap:
+            head = heap[0]
+            if head[3].callbacks is None:
+                heappop(heap)
+                self._ncancelled -= 1
+                continue
+            return head[0]
+        return float("inf")
 
     def step(self) -> None:
         """Process the single next event.
@@ -561,13 +491,18 @@ class Environment:
         SimulationError
             If the queue is empty.
         """
-        entry = self._queue.pop()
-        if entry is None:
-            raise SimulationError("no more events")
-        event = entry[3]
+        heap = self._heap
+        while True:
+            if not heap:
+                raise SimulationError("no more events")
+            entry = heappop(heap)
+            event = entry[3]
+            callbacks = event.callbacks
+            if callbacks is not None:
+                break
+            self._ncancelled -= 1  # a cancelled entry surfacing
 
         self._now = entry[0]
-        callbacks = event.callbacks
         event.callbacks = None
         for callback in callbacks:
             callback(event)
@@ -603,28 +538,22 @@ class Environment:
                         f"until={horizon} lies before current time {self._now}"
                     )
 
-        # The event loop proper.  This duplicates step() deliberately: one
-        # call frame per event is ~15% of the loop's cost, and this loop is
-        # the hottest path in the repository (kernel_events_per_s).
-        queue = self._queue
-        cur = queue._current  # stable alias: advance() extends in place
+        # The event loop proper.  This duplicates step() deliberately:
+        # every simulated event passes through this loop, and one call
+        # frame per event would be a fixed share of each event's cost.
+        heap = self._heap  # stable alias: _compact() filters in place
         prev_horizon = self.run_horizon
         self.run_horizon = horizon
         try:
-            while True:
-                if not cur:
-                    if not queue.advance():
-                        break
-                    continue
-                head = cur[0]
-                if head[0] > horizon:
+            while heap:
+                if heap[0][0] > horizon:
                     break
-                entry = _heappop(cur)
+                entry = heappop(heap)
                 event = entry[3]
                 callbacks = event.callbacks
                 if callbacks is None:
                     # Lazily-cancelled entry surfacing: discard for free.
-                    queue._ncancelled -= 1
+                    self._ncancelled -= 1
                     continue
                 self._now = entry[0]
                 event.callbacks = None
@@ -658,5 +587,21 @@ class Environment:
         event._defused = True
         raise event._value
 
-    def _schedule(self, event: Event, priority: int, delay: float) -> None:
-        self._queue.push(self._now + delay, priority, event)
+    def _push(self, when: float, prio: int, event: Event) -> None:
+        """Queue ``event`` at ``(when, prio)`` under the next event id."""
+        eid = self._eid
+        self._eid = eid + 1
+        heappush(self._heap, (when, prio, eid, event))
+
+    def _compact(self) -> None:
+        """Drop every cancelled entry from the heap (linear).
+
+        The heap is filtered *in place*: :meth:`run` keeps an alias to
+        the list across callbacks, and a callback that mass-cancels
+        events lands here mid-run; rebinding ``_heap`` would strand the
+        run loop on the old list and drop every later push.
+        """
+        heap = self._heap
+        heap[:] = [e for e in heap if e[3].callbacks is not None]
+        heapify(heap)
+        self._ncancelled = 0

@@ -1,26 +1,19 @@
-"""Waiting queues and stores for the simulation kernel.
+"""A waiting queue for the simulation kernel.
 
-Provides SimPy-style resources used by the per-message execution engine:
-
-* :class:`Store` — unbounded/bounded FIFO of arbitrary items with blocking
-  ``put``/``get`` events,
-* :class:`PriorityStore` — items retrieved smallest-first,
-* :class:`Container` — continuous level (used for fluid-flow reservoirs).
-
-All classes interoperate with :class:`repro.sim.kernel.Process` by
-returning :class:`~repro.sim.kernel.Event` subclasses from their
-``put``/``get`` methods.
+Provides the SimPy-style :class:`Store` the per-message execution engine
+buffers messages in: a FIFO of arbitrary items, unbounded or bounded,
+with blocking ``put``/``get`` events that interoperate with
+:class:`repro.sim.kernel.Process`.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
-from typing import Any, Generic, Optional, TypeVar
+from typing import Any, Generic, TypeVar
 
 from .kernel import Environment, Event
 
-__all__ = ["Store", "PriorityStore", "Container", "StorePut", "StoreGet"]
+__all__ = ["Store", "StorePut", "StoreGet"]
 
 T = TypeVar("T")
 
@@ -74,11 +67,6 @@ class Store(Generic[T]):
     def __len__(self) -> int:
         return len(self.items)
 
-    @property
-    def level(self) -> int:
-        """Number of buffered items."""
-        return len(self.items)
-
     def put(self, item: T) -> StorePut:
         """Request insertion of ``item``; returns an event."""
         return StorePut(self, item)
@@ -87,50 +75,6 @@ class Store(Generic[T]):
         """Request retrieval of the oldest item; returns an event."""
         return StoreGet(self)
 
-    def try_get(self) -> Optional[T]:
-        """Non-blocking get: pop and return an item or ``None`` if empty."""
-        if not self.items:
-            return None
-        item = self._do_get()
-        self._dispatch()
-        return item
-
-    def peek(self) -> Optional[T]:
-        """The item the next ``get`` would return, without removing it.
-
-        O(1) and allocation-free — callers that only need to inspect the
-        head (or check emptiness via ``len``) must not pay for a
-        ``snapshot`` copy of the whole buffer.  Returns ``None`` when
-        empty.  For :class:`PriorityStore` this is the smallest item.
-        """
-        return self.items[0] if self.items else None
-
-    def snapshot(self) -> list[T]:
-        """A shallow copy of the buffered items (explicitly O(n)).
-
-        The copy is intentional — use ``len(store)`` / :meth:`peek` for
-        the cheap queries.  For :class:`PriorityStore` the list is in
-        heap order, not sorted order.
-        """
-        return list(self.items)
-
-    def drain(self) -> list[T]:
-        """Remove and return all buffered items (no waiter interaction)."""
-        items = list(self.items)
-        self.items.clear()
-        self._dispatch()
-        return items
-
-    # -- storage policy (overridden by subclasses) --------------------------
-
-    def _do_put(self, item: T) -> None:
-        self.items.append(item)
-
-    def _do_get(self) -> T:
-        return self.items.popleft()
-
-    # -- dispatch loop -------------------------------------------------------
-
     def _dispatch(self) -> None:
         """Match put-waiters to free capacity and get-waiters to items."""
         progress = True
@@ -138,124 +82,10 @@ class Store(Generic[T]):
             progress = False
             while self._put_waiters and len(self.items) < self.capacity:
                 put = self._put_waiters.popleft()
-                self._do_put(put.item)
+                self.items.append(put.item)
                 put.succeed()
                 progress = True
             while self._get_waiters and self.items:
                 get = self._get_waiters.popleft()
-                get.succeed(self._do_get())
+                get.succeed(self.items.popleft())
                 progress = True
-
-
-class PriorityStore(Store[T]):
-    """A store whose ``get`` returns the smallest item first.
-
-    Items must be mutually comparable; use ``(priority, payload)`` tuples or
-    dataclasses with ordering.
-    """
-
-    def __init__(self, env: Environment, capacity: float = float("inf")) -> None:
-        super().__init__(env, capacity)
-        self._heap: list[T] = []
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    @property
-    def level(self) -> int:
-        return len(self._heap)
-
-    @property
-    def items(self):  # type: ignore[override]
-        return self._heap
-
-    @items.setter
-    def items(self, value) -> None:
-        self._heap = list(value)
-        heapq.heapify(self._heap)
-
-    def _do_put(self, item: T) -> None:
-        heapq.heappush(self._heap, item)
-
-    def _do_get(self) -> T:
-        return heapq.heappop(self._heap)
-
-
-class ContainerPut(Event):
-    __slots__ = ("amount",)
-
-    def __init__(self, container: "Container", amount: float) -> None:
-        if amount <= 0:
-            raise ValueError("amount must be positive")
-        super().__init__(container.env)
-        self.amount = amount
-        container._put_waiters.append(self)
-        container._dispatch()
-
-
-class ContainerGet(Event):
-    __slots__ = ("amount",)
-
-    def __init__(self, container: "Container", amount: float) -> None:
-        if amount <= 0:
-            raise ValueError("amount must be positive")
-        super().__init__(container.env)
-        self.amount = amount
-        container._get_waiters.append(self)
-        container._dispatch()
-
-
-class Container:
-    """A continuous reservoir with a level between 0 and ``capacity``.
-
-    Used for fluid-flow modelling where message counts are treated as real
-    quantities rather than discrete items.
-    """
-
-    def __init__(
-        self,
-        env: Environment,
-        capacity: float = float("inf"),
-        init: float = 0.0,
-    ) -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        if not 0 <= init <= capacity:
-            raise ValueError("init must lie in [0, capacity]")
-        self.env = env
-        self.capacity = capacity
-        self._level = float(init)
-        self._put_waiters: deque[ContainerPut] = deque()
-        self._get_waiters: deque[ContainerGet] = deque()
-
-    @property
-    def level(self) -> float:
-        """Current amount stored."""
-        return self._level
-
-    def put(self, amount: float) -> ContainerPut:
-        """Request to add ``amount``; blocks while over capacity."""
-        return ContainerPut(self, amount)
-
-    def get(self, amount: float) -> ContainerGet:
-        """Request to remove ``amount``; blocks while underfull."""
-        return ContainerGet(self, amount)
-
-    def _dispatch(self) -> None:
-        progress = True
-        while progress:
-            progress = False
-            if self._put_waiters:
-                put = self._put_waiters[0]
-                if self._level + put.amount <= self.capacity:
-                    self._put_waiters.popleft()
-                    self._level += put.amount
-                    put.succeed()
-                    progress = True
-            if self._get_waiters:
-                get = self._get_waiters[0]
-                if self._level >= get.amount:
-                    self._get_waiters.popleft()
-                    self._level -= get.amount
-                    get.succeed(get.amount)
-                    progress = True

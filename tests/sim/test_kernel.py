@@ -5,8 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.sim import (
-    AllOf,
-    AnyOf,
     Environment,
     Event,
     Interrupt,
@@ -304,91 +302,6 @@ class TestInterrupt:
         assert len(errors) == 1
 
 
-class TestConditions:
-    def test_all_of_waits_for_all(self, env):
-        done = []
-
-        def proc():
-            yield AllOf(env, [env.timeout(1.0), env.timeout(5.0)])
-            done.append(env.now)
-
-        env.process(proc())
-        env.run()
-        assert done == [5.0]
-
-    def test_any_of_fires_on_first(self, env):
-        done = []
-
-        def proc():
-            yield AnyOf(env, [env.timeout(1.0), env.timeout(5.0)])
-            done.append(env.now)
-
-        env.process(proc())
-        env.run()
-        assert done == [1.0]
-
-    def test_and_operator(self, env):
-        done = []
-
-        def proc():
-            yield env.timeout(2.0) & env.timeout(3.0)
-            done.append(env.now)
-
-        env.process(proc())
-        env.run()
-        assert done == [3.0]
-
-    def test_or_operator(self, env):
-        done = []
-
-        def proc():
-            yield env.timeout(2.0) | env.timeout(3.0)
-            done.append(env.now)
-
-        env.process(proc())
-        env.run()
-        assert done == [2.0]
-
-    def test_empty_all_of_triggers_immediately(self, env):
-        cond = AllOf(env, [])
-        assert cond.triggered
-
-    def test_condition_failure_propagates(self, env):
-        def bad():
-            yield env.timeout(1.0)
-            raise RuntimeError("branch died")
-
-        caught = []
-
-        def proc():
-            try:
-                yield AllOf(env, [env.process(bad()), env.timeout(10.0)])
-            except RuntimeError as exc:
-                caught.append(str(exc))
-
-        env.process(proc())
-        env.run()
-        assert caught == ["branch died"]
-
-    def test_condition_value_collects_results(self, env):
-        results = []
-
-        def proc():
-            t1 = env.timeout(1.0, value="a")
-            t2 = env.timeout(2.0, value="b")
-            got = yield t1 & t2
-            results.append(sorted(got.values()))
-
-        env.process(proc())
-        env.run()
-        assert results == [["a", "b"]]
-
-    def test_cross_environment_events_rejected(self, env):
-        other = Environment()
-        with pytest.raises(SimulationError):
-            AllOf(env, [env.timeout(1.0), other.timeout(1.0)])
-
-
 class TestRunUntil:
     def test_run_until_event_returns_value(self, env):
         def proc():
@@ -416,22 +329,9 @@ class TestRunUntil:
         env.run()
         assert fired == [10.0]
 
-    def test_schedule_at_absolute_time(self, env):
-        fired = []
-        env.run(until=2.0)
-        ev = env.schedule_at(7.0, value="abs")
-        ev.callbacks.append(lambda e: fired.append((env.now, e.value)))
-        env.run()
-        assert fired == [(7.0, "abs")]
-
-    def test_schedule_at_past_raises(self, env):
-        env.run(until=5.0)
-        with pytest.raises(ValueError):
-            env.schedule_at(1.0)
-
 
 class TestEventCancellation:
-    """O(1) timer revocation via lazy deletion in the calendar queue."""
+    """O(1) timer revocation via lazy deletion in the event heap."""
 
     def test_cancel_prevents_callbacks(self, env):
         fired = []
@@ -475,7 +375,7 @@ class TestEventCancellation:
     def test_mass_cancellation_does_not_degrade_run(self, env):
         """Revoking ~99% of 100k timers must stay near-linear.
 
-        Lazy deletion plus the calendar queue's auto-compaction keep
+        Lazy deletion plus the event heap's auto-compaction keep
         both the cancel itself and the subsequent ``run()`` cheap; the
         generous wall-clock bound only trips on complexity regressions
         (e.g. an O(n) cancel or a heap that never sheds dead entries).
@@ -500,12 +400,12 @@ class TestEventCancellation:
     def test_mass_cancellation_inside_callback_during_run(self, env):
         """Compaction fired from a callback must not derail ``run()``.
 
-        A callback that cancels enough events to trigger the calendar
-        queue's auto-compaction exercises the case where compaction runs
-        *while* the event loop is iterating the current-day heap: the
-        loop's alias to that list must stay valid, events scheduled after
-        the compaction must still fire, and the cancelled-entry count
-        must come out exact.
+        A callback that cancels enough events to trigger the event
+        heap's auto-compaction exercises the case where compaction runs
+        *while* the event loop is iterating the heap: the loop's alias to
+        that list must stay valid, events scheduled after the compaction
+        must still fire, and the cancelled-entry count must come out
+        exact.
         """
         fired = []
         timers = [env.timeout(10.0 + i * 0.001) for i in range(3000)]
@@ -523,4 +423,65 @@ class TestEventCancellation:
         env.run()
         assert fired == ["late", "survivor"]
         assert env.now == 50.0
-        assert env._queue._ncancelled == 0
+        assert env._ncancelled == 0
+
+    def test_peek_skips_cancelled_heads(self, env):
+        """The macro gate reads ``peek()`` right after cancelling a wake."""
+        first = env.timeout(1.0)
+        env.timeout(2.0)
+        first.cancel()
+        assert env.peek() == 2.0
+        env.step()
+        assert env.now == 2.0
+        assert env.peek() == float("inf")
+
+    def test_cancelled_residents_stay_bounded(self, env):
+        """Auto-compaction fires once cancelled entries are >= 1,024 and
+        a majority, so cancelled residue never outgrows one threshold."""
+        fired = []
+        timers = [env.timeout(1e9 + i) for i in range(3000)]
+        for t in timers[:2900]:
+            t.cancel()
+        assert len(env._heap) < 100 + 1024
+        assert env._ncancelled < 1024
+        for t in timers[2900:]:
+            t.callbacks.append(lambda e: fired.append(env.now))
+        env.run()
+        assert fired == [1e9 + i for i in range(2900, 3000)]
+
+
+class TestPriority:
+    """URGENT entries run before NORMAL ones at the same timestamp."""
+
+    def test_process_start_runs_before_earlier_normal_event(self, env):
+        order = []
+        env.event_at(0.0).callbacks.append(lambda e: order.append("normal"))
+
+        def proc():
+            order.append("started")
+            yield env.timeout(0.0)
+
+        env.process(proc())  # queued second, but URGENT
+        env.run()
+        assert order == ["started", "normal"]
+
+    def test_interrupt_runs_before_earlier_normal_event(self, env):
+        order = []
+
+        def sleeper():
+            try:
+                yield env.timeout(100.0)
+            except Interrupt:
+                order.append(("interrupted", env.now))
+
+        def interrupter(target):
+            yield env.timeout(5.0)
+            env.event_at(5.0).callbacks.append(
+                lambda e: order.append(("normal", env.now))
+            )
+            target.interrupt()  # queued second, but URGENT
+
+        p = env.process(sleeper())
+        env.process(interrupter(p))
+        env.run()
+        assert order == [("interrupted", 5.0), ("normal", 5.0)]

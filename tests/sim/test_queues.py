@@ -1,10 +1,10 @@
-"""Unit tests for stores and containers."""
+"""Unit tests for the FIFO store."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.sim import Container, Environment, PriorityStore, Store
+from repro.sim import Store
 
 
 class TestStore:
@@ -87,164 +87,3 @@ class TestStore:
     def test_invalid_capacity(self, env):
         with pytest.raises(ValueError):
             Store(env, capacity=0)
-
-    def test_try_get_nonblocking(self, env):
-        store = Store(env)
-        assert store.try_get() is None
-        store.put("x")
-        env.run()
-        assert store.try_get() == "x"
-        assert store.try_get() is None
-
-    def test_drain_returns_everything(self, env):
-        store = Store(env)
-        for i in range(3):
-            store.put(i)
-        env.run()
-        assert store.drain() == [0, 1, 2]
-        assert len(store) == 0
-
-    def test_level_property(self, env):
-        store = Store(env)
-        store.put(1)
-        store.put(2)
-        env.run()
-        assert store.level == 2
-
-
-class TestPriorityStore:
-    def test_smallest_first(self, env):
-        store = PriorityStore(env)
-        for v in (5, 1, 3):
-            store.put(v)
-        got = []
-
-        def consumer():
-            for _ in range(3):
-                got.append((yield store.get()))
-
-        env.process(consumer())
-        env.run()
-        assert got == [1, 3, 5]
-
-    def test_tuples_order_by_priority(self, env):
-        store = PriorityStore(env)
-        store.put((2, "low"))
-        store.put((1, "high"))
-        got = []
-
-        def consumer():
-            got.append((yield store.get()))
-
-        env.process(consumer())
-        env.run()
-        assert got == [(1, "high")]
-
-    def test_len_tracks_heap(self, env):
-        store = PriorityStore(env)
-        store.put(1)
-        store.put(2)
-        env.run()
-        assert len(store) == 2
-
-
-class TestContainer:
-    def test_initial_level(self, env):
-        c = Container(env, capacity=10, init=4)
-        assert c.level == 4
-
-    def test_put_get_amounts(self, env):
-        c = Container(env, capacity=10)
-        done = []
-
-        def proc():
-            yield c.put(6)
-            yield c.get(2.5)
-            done.append(c.level)
-
-        env.process(proc())
-        env.run()
-        assert done == [3.5]
-
-    def test_get_blocks_until_available(self, env):
-        c = Container(env, capacity=10)
-        got = []
-
-        def consumer():
-            yield c.get(5)
-            got.append(env.now)
-
-        def producer():
-            yield env.timeout(2.0)
-            yield c.put(3)
-            yield env.timeout(2.0)
-            yield c.put(3)
-
-        env.process(consumer())
-        env.process(producer())
-        env.run()
-        assert got == [4.0]
-
-    def test_put_blocks_at_capacity(self, env):
-        c = Container(env, capacity=5, init=4)
-        done = []
-
-        def producer():
-            yield c.put(3)
-            done.append(env.now)
-
-        def consumer():
-            yield env.timeout(1.0)
-            yield c.get(2.5)
-
-        env.process(producer())
-        env.process(consumer())
-        env.run()
-        assert done == [1.0]
-
-    def test_rejects_nonpositive_amounts(self, env):
-        c = Container(env, capacity=5)
-        with pytest.raises(ValueError):
-            c.put(0)
-        with pytest.raises(ValueError):
-            c.get(-1)
-
-    def test_rejects_bad_init(self, env):
-        with pytest.raises(ValueError):
-            Container(env, capacity=5, init=6)
-
-
-class TestPeekAndSnapshot:
-    def test_peek_empty_store(self, env):
-        assert Store(env).peek() is None
-
-    def test_peek_returns_head_without_removing(self, env):
-        store = Store(env)
-        store.put("a")
-        store.put("b")
-        assert store.peek() == "a"
-        assert store.peek() == "a"
-        assert len(store) == 2
-
-    def test_peek_priority_store_is_smallest(self, env):
-        store = PriorityStore(env)
-        for item in (3, 1, 2):
-            store.put(item)
-        assert store.peek() == 1
-        assert len(store) == 3
-
-    def test_snapshot_is_a_copy(self, env):
-        store = Store(env)
-        store.put("a")
-        store.put("b")
-        snap = store.snapshot()
-        assert snap == ["a", "b"]
-        snap.append("c")
-        assert len(store) == 2
-        assert store.snapshot() == ["a", "b"]
-
-    def test_snapshot_priority_store_contains_all_items(self, env):
-        store = PriorityStore(env)
-        for item in (5, 1, 4, 2):
-            store.put(item)
-        assert sorted(store.snapshot()) == [1, 2, 4, 5]
