@@ -96,6 +96,13 @@ class AdmissionReviewer(Protocol):
     Returns ``None`` to admit or a short reason string to deny.  Called
     only after the hard per-class capacity check passed, so reviewers
     express *policy* (fairness, quotas), not physics.
+
+    A review depends only on the fleet state, the tenant, the class and
+    ``now`` — never on the denial ledger — as ``FreeForAll`` and
+    ``FairShare`` do.  Callers rely on it: a denied request changes
+    nothing a review reads, so
+    :func:`~repro.engine.reconcile.apply_plan` keeps each class's
+    fallback until its next successful provision.
     """
 
     def review(

@@ -28,6 +28,7 @@ resource cost:
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, replace
 from typing import Mapping, Optional
 
@@ -450,10 +451,28 @@ class RuntimeAdaptation:
             if required > _EPS:
                 required_by_pe.append((name, required))
 
-        # A core changes only its PE's capacity: re-sum that one entry as
-        # pe_units_map does (hosts in VM order, left-to-right +).
+        # A core changes only its PE's capacity, which pe_units_map sums
+        # over the PE's hosts in VM order, left to right from 0.0.  One
+        # index per call keeps that sum cheap and exact: each VM's
+        # position, each PE's host positions and unit terms in VM order,
+        # and ``head``, the sum of every host term but the last.  A core
+        # on the last host re-sums one term; only one on a middle host
+        # re-sums them all.
         caps = cluster.capacities(df, selection)
+        position: dict[str, int] = {}
+        slots: dict[str, list[int]] = {}
+        terms: dict[str, list[float]] = {}
+        head: dict[str, float] = {}
+        for vm in cluster.vms:
+            p = position[vm.key] = len(position)
+            for name in vm.allocations:
+                t = terms.setdefault(name, [])
+                head[name] = (head[name] + t[-1]) if t else 0.0
+                slots.setdefault(name, []).append(p)
+                t.append(vm.units_for(name))
         start = used = cluster.total_used_cores()
+        vm = last = None
+        full = False
         while used < cfg.max_cores:
             bottleneck = None
             worst = 1.0 - 1e-6
@@ -464,28 +483,43 @@ class RuntimeAdaptation:
                     worst = ratio
             if bottleneck is None:
                 break  # no PE is short of its required capacity
-            self._add_core(cluster, bottleneck, snapshot, selection)
+            s = slots.setdefault(bottleneck, [])
+            t = terms.setdefault(bottleneck, [])
+            # A free (already-paid) core if any (_free_core), else a new
+            # VM.  The scan is skipped where its answer is known: the last
+            # core's VM, while a core is free on it, stays the choice if
+            # its PE is still the bottleneck (its key can only have
+            # improved, and no other VM changed) or once a scan found no
+            # free core (cores are only taken since, so it is the one VM
+            # that can have one).
+            if not (vm is not None and vm.free_cores
+                    and (full or bottleneck == last)):
+                vm = None if full else self._free_core(cluster, bottleneck)
+                if vm is None:
+                    vm = cluster.new_vm(self._provision_class(
+                        cluster, bottleneck, snapshot, selection, t
+                    ))
+                    position[vm.key] = len(position)
+                    full = True
+            last = bottleneck
+            p = position[vm.key]
+            i = bisect.bisect_left(s, p)
+            if i == len(s) or s[i] != p:  # vm starts hosting the PE
+                if i == len(s):  # as its last host: the old one joins head
+                    head[bottleneck] = (head[bottleneck] + t[-1]) if t else 0.0
+                s.insert(i, p)
+                t.insert(i, 0.0)
+            vm.allocate(bottleneck, 1)
             used += 1
-            units = 0.0
-            for vm in cluster.vms_hosting(bottleneck):
-                units += vm.allocations[bottleneck] * vm.core_units()
+            t[i] = vm.units_for(bottleneck)
+            if i < len(t) - 1:
+                units = 0.0
+                for x in t[:-1]:
+                    units += x
+                head[bottleneck] = units
             cost = df.active_alternate(selection, bottleneck).cost
-            caps[bottleneck] = units / cost
+            caps[bottleneck] = (head[bottleneck] + t[-1]) / cost
         _perf.add("adapt.scale_out_cores", used - start)
-
-    def _add_core(
-        self,
-        cluster: ClusterView,
-        pe_name: str,
-        snapshot: Snapshot,
-        selection: Mapping[str, str],
-    ) -> None:
-        """Grant one more core to ``pe_name``: a free (already-paid) core
-        if any (:meth:`_free_core`), else a new VM of the strategy's class."""
-        vm = self._free_core(cluster, pe_name) or cluster.new_vm(
-            self._provision_class(cluster, pe_name, snapshot, selection)
-        )
-        vm.allocate(pe_name, 1)
 
     def _free_core(
         self, cluster: ClusterView, pe_name: str
@@ -515,14 +549,23 @@ class RuntimeAdaptation:
         pe_name: str,
         snapshot: Snapshot,
         selection: Mapping[str, str],
+        terms: Optional[list[float]] = None,
     ) -> VMClass:
         """Local: always the largest class.  Global: cheapest class that
-        covers the PE's remaining unit deficit (best fit)."""
+        covers the PE's remaining unit deficit (best fit).
+
+        ``terms``, the units of the PE's hosts in VM order when the
+        caller keeps them, are the terms :meth:`ClusterView.pe_units`
+        sums, in its order, so their ``sum()`` keeps its bits on every
+        Python (≥ 3.12 compensates it)."""
         if self.config.strategy == "local":
             return self.catalog[-1]
         cost = self.dataflow.active_alternate(selection, pe_name).cost
         demand_units = self._demand_rate(snapshot, pe_name) * cost
-        deficit = max(demand_units - cluster.pe_units(pe_name), 0.0)
+        units = (
+            cluster.pe_units(pe_name) if terms is None else sum(terms, 0.0)
+        )
+        deficit = max(demand_units - units, 0.0)
         # _provision_order pairs ascending capacities with their classes,
         # hoisting the per-call total_capacity recomputation.
         for capacity, klass in self._provision_order:

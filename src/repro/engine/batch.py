@@ -91,7 +91,7 @@ class _Cell:
 
     __slots__ = (
         "manager", "run", "env", "ex", "rate_key", "input_names",
-        "group", "col", "P", "V", "E", "I", "O", "backoff", "last",
+        "col", "P", "V", "E", "I", "O", "backoff", "last",
     )
 
     def __init__(
@@ -112,18 +112,6 @@ class _Cell:
             _validate.checker().register_executor(self.ex)
 
 
-class _RateGroup:
-    """Cells whose input profiles produce bitwise-identical rates."""
-
-    __slots__ = ("profiles", "cols", "v0", "vals")
-
-    def __init__(self, profiles: list) -> None:
-        self.profiles = profiles
-        self.cols: list[int] = []
-        self.v0: list[_Cell] = []
-        self.vals: list[float] = []
-
-
 class _Pack:
     """The stacked state for one adaptation interval (one *epoch*).
 
@@ -137,7 +125,8 @@ class _Pack:
     __slots__ = (
         "cols", "v0", "states", "columns", "C", "Pmax", "Vmax", "Imax",
         "tick", "alloc", "core_speed", "ready_time", "cost",
-        "rate_groups", "coef_groups", "coef_scalar", "gate_at", "speed",
+        "profiles", "rate_idx", "coef_groups", "coef_scalar", "gate_at",
+        "speed",
         "_backlog", "_egress", "_remote_budget", "_selectivity",
         "_gain", "_edge_factors", "_input_idx", "_edge_src", "_edge_dst",
         "_output_idx", "_acc_external", "_acc_deliverable",
@@ -328,7 +317,7 @@ class BatchRunner:
         self, states: list[_Cell], cols: list[_Cell], v0: list[_Cell],
         tick: float,
     ) -> _Pack:
-        """A pack for a new column layout: rate groups and padded arrays
+        """A pack for a new column layout: the rate index and padded arrays
         (the interval accumulators start at zero, like every executor's
         at a fresh start or after roll_interval)."""
         pack = _Pack()
@@ -339,21 +328,24 @@ class BatchRunner:
         pack.columns = {(c,): st.ex for c, st in enumerate(cols)}
         C = pack.C = len(cols)
 
-        groups: dict[Hashable, _RateGroup] = {}
-        pack.rate_groups = []
+        # Rates: each distinct profile once (cells with equal rate keys
+        # share theirs), in a flat list with a zero slot at the end.
+        # Row ``r`` of ``rate_idx`` indexes the inputs of column ``r``,
+        # then of the zero-VM cells in order, padded with the zero slot.
+        first: dict[Hashable, int] = {}
+        pack.profiles = []
         for st in states:
-            grp = groups.get(st.rate_key)
-            if grp is None:
-                grp = _RateGroup(
-                    [st.ex.profiles[nm] for nm in st.input_names]
+            if st.rate_key not in first:
+                first[st.rate_key] = len(pack.profiles)
+                pack.profiles.extend(
+                    st.ex.profiles[nm] for nm in st.input_names
                 )
-                groups[st.rate_key] = grp
-                pack.rate_groups.append(grp)
-            if st.col >= 0:
-                grp.cols.append(st.col)
-            else:
-                grp.v0.append(st)
-            st.group = grp
+        pack.rate_idx = np.full(
+            (len(states), max(st.I for st in states)), len(pack.profiles),
+            dtype=np.intp,
+        )
+        for r, st in enumerate(cols + v0):
+            pack.rate_idx[r, :st.I] = first[st.rate_key] + np.arange(st.I)
 
         Pmax = pack.Pmax = max((st.P for st in cols), default=0)
         Vmax = pack.Vmax = max((st.V for st in cols), default=0)
@@ -390,12 +382,13 @@ class BatchRunner:
         """Group the cells' CPU-trace stacks for the batched gather.
 
         Each column's stacked group joins the batch group of its (length,
-        resolution); lanes outside it (``pack.coef_scalar`` columns) are
-        filled by the column's executor.  The concatenated trace stacks
-        are pure functions of the member executors' groups, which only
-        change on a fleet rebuild: reuse the previous epoch's groups
-        while the same group objects (pinned alive in the cache, so ids
-        cannot be recycled) line up in the same columns."""
+        resolution), whose stack holds each distinct series of its
+        members once; lanes outside it (``pack.coef_scalar`` columns) are
+        filled by the column's executor.  The batch groups are pure
+        functions of the member executors' groups, which only change on
+        a fleet rebuild: reuse the previous epoch's groups while the
+        same group objects (pinned alive in the cache, so ids cannot be
+        recycled) line up in the same columns."""
         Vmax = pack.Vmax
         coef_members: dict[tuple[int, float], list[int]] = {}
         pack.coef_scalar = []
@@ -424,7 +417,7 @@ class BatchRunner:
                 flat = [c * Vmax + g.flat for c, g in zip(members, groups)]
                 pack.coef_groups.append(
                     _CoefGroup(
-                        np.concatenate([g.stack for g in groups]),
+                        [s for g in groups for s in g.series],
                         np.concatenate([g.offsets for g in groups]),
                         np.concatenate(flat),
                         res,
@@ -620,23 +613,22 @@ class BatchRunner:
     ) -> Optional[_TickRecord]:
         """One vectorized tick: the serial ``FluidExecutor.step`` over
         the whole batch, bit for bit per column."""
-        # Rates: one ``rate_at`` per distinct profile group.
-        for grp in pack.rate_groups:
-            grp.vals = [p.rate_at(t) for p in grp.profiles]
+        # Rates: one ``rate_at`` per distinct profile, one gather.
+        rates = np.array(
+            [p.rate_at(t) for p in pack.profiles] + [0.0]
+        )[pack.rate_idx]
+        C = pack.C
 
         # Cells with no fleet take the serial V == 0 path verbatim.
-        for st in pack.v0:
-            st.last = st.ex._idle_tick(np.array(st.group.vals), dt)
+        for r, st in enumerate(pack.v0, start=C):
+            st.last = st.ex._idle_tick(rates[r, :st.I], dt)
 
-        if not pack.C:
+        if not C:
             return None
         # 1. effective speeds, capacities and routing shares: the serial
         # tick's phase 1 over the stacked arrays, recomputed only when
         # one of its inputs changed.
         sp = pack.speed
         sp.update(t, dt)
-        rates = np.zeros((pack.C, pack.Imax))
-        for grp in pack.rate_groups:
-            if grp.cols:
-                rates[grp.cols, :len(grp.vals)] = grp.vals
-        return _flow_phases(pack, pack.columns, sp, t, dt, rates, True)
+        return _flow_phases(pack, pack.columns, sp, t, dt,
+                            rates[:C, :pack.Imax], True)

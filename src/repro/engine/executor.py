@@ -182,20 +182,35 @@ def _reject_synchronize_merges(dataflow: DynamicDataflow) -> None:
 class _CoefGroup:
     """Stacked CPU-trace series sharing one (length, resolution).
 
-    ``stack[k]`` is the series of the VM lane ``flat[k]`` (an index into
+    ``series[k]`` is the series of the VM lane ``flat[k]`` (an index into
     the flattened coefficient array), read at ``offsets[k] + int(t / res)``
-    modulo ``length``.
+    modulo ``length``.  ``stack`` holds each distinct series once, lane
+    ``k``'s as row ``rows[k]``: lanes whose series are the same memory
+    (views of one trace-library row) share a row, so a fleet's stack is
+    no larger than its library and building one copies no per-VM series.
     """
 
-    __slots__ = ("stack", "offsets", "arange", "flat", "res", "length")
+    __slots__ = ("series", "stack", "rows", "offsets", "flat", "res",
+                 "length")
 
-    def __init__(self, stack, offsets, flat, res) -> None:
-        self.stack = stack
+    def __init__(self, series: list, offsets, flat, res) -> None:
+        first: dict[tuple, int] = {}
+        distinct: list[np.ndarray] = []
+        rows = []
+        for s in series:
+            key = (s.__array_interface__["data"][0], s.strides, s.dtype.str)
+            row = first.get(key)
+            if row is None:
+                row = first[key] = len(distinct)
+                distinct.append(s)
+            rows.append(row)
+        self.series = series
+        self.stack = np.stack(distinct)
+        self.rows = np.array(rows, dtype=np.intp)
         self.offsets = offsets
-        self.arange = np.arange(stack.shape[0])
         self.flat = flat
         self.res = res
-        self.length = stack.shape[1]
+        self.length = self.stack.shape[1]
 
 
 class _SpeedPhase:
@@ -254,7 +269,7 @@ class _SpeedPhase:
         lanes = coef.reshape(-1)
         for g in self.groups:
             pos = (g.offsets + int(t / g.res)) % g.length
-            lanes[g.flat] = g.stack[g.arange, pos]
+            lanes[g.flat] = g.stack[g.rows, pos]
         if self.fill is not None:
             self.fill(coef, t)
         ready = self.ready_time <= t
@@ -471,7 +486,8 @@ def _drift_state(backlog: np.ndarray, rec: _TickRecord,
 
 
 def _flow_phases(o, columns, sp: _SpeedPhase, t: float, dt: float,
-                 rates: np.ndarray, record: bool) -> Optional[_TickRecord]:
+                 rates: np.ndarray, record: bool,
+                 scalar: bool = True) -> Optional[_TickRecord]:
     """Tick phases 0 and 2–5, shared by the serial and the batch tick.
 
     ``o`` owns the state arrays under the executor's names, with the
@@ -485,7 +501,8 @@ def _flow_phases(o, columns, sp: _SpeedPhase, t: float, dt: float,
     rate at ``t``, zero-padded.  ``columns`` maps a key of the leading
     axes (``()`` for one executor) to the column's executor, which does
     the column's scalar work: migration release, the unhosted holding
-    buffers and network refresh.  Returns the tick's
+    buffers and network refresh, unless ``scalar`` is off (a time pack,
+    whose window opens only when none of it is due).  Returns the tick's
     :class:`_TickRecord` when ``record`` is set.
     """
     backlog = o._backlog
@@ -527,7 +544,7 @@ def _flow_phases(o, columns, sp: _SpeedPhase, t: float, dt: float,
     # Per column: 0. release due migrations into their PE's queues (any
     # time before phase 4 will do), drain the holding buffers of inputs
     # that regained capacity, and 3. refresh the network budgets.
-    for key, ex in columns.items():
+    for key, ex in (columns.items() if scalar else ()):
         if ex._migrating:
             due = [m for m in ex._migrating if m.available_at <= t]
             if due:
@@ -626,11 +643,12 @@ class _TimePack:
     :func:`_flow_phases` reads.  Queues and accumulators gain the time
     axis, row indices are offset by ``j`` times the owner's row count,
     and the network budget, selectivities, gain and edge factors
-    broadcast.  ``columns`` keys gain the slice in front, so each slice
-    does its column's scalar work — none, inside a window — and the
+    broadcast.  ``columns`` keys gain the slice in front, so the
     multi-input branch computes each slice's deliverables with the
-    column's own ``gain @ rates``.  Written over the owner's leading
-    axes: the serial executor's ``()`` or a batch pack's ``(C,)``.
+    column's own ``gain @ rates``; a pass skips the columns' scalar
+    work, of which a window has none (see :meth:`FluidExecutor._window`).
+    Written over the owner's leading axes: the serial executor's ``()``
+    or a batch pack's ``(C,)``.
     """
 
     __slots__ = ("k", "columns", "sp", "_backlog", "_egress",
@@ -662,7 +680,8 @@ class _TimePack:
         self._egress = egress.copy()
         for name in _ACC:
             setattr(self, name, np.zeros((self.k,) + getattr(o, name).shape))
-        return _flow_phases(self, self.columns, self.sp, t, dt, rates, True)
+        return _flow_phases(self, self.columns, self.sp, t, dt, rates,
+                            True, scalar=False)
 
 
 def _window_pass(o, columns: dict, sp: _SpeedPhase, grid: np.ndarray,
@@ -1207,7 +1226,7 @@ class FluidExecutor:
                     self._coef_scalar_idx.extend(other)
             views = [self._cpu_views[j] for j in idx]
             self._coef_group = _CoefGroup(
-                np.stack([v[0] for v in views]),
+                [v[0] for v in views],
                 np.array([v[1] for v in views], dtype=np.intp),
                 np.array(idx, dtype=np.intp),
                 res,

@@ -181,15 +181,24 @@ def apply_plan(
     # 3. provision new VMs.  A typed capacity/admission denial degrades
     # the plan rather than aborting: fall back to an admittable class,
     # re-home what still does not fit (below), and replan next round.
+    # An admission review reads only the fleet (the contract on
+    # ``CloudProvider.admission``), and only a successful provision
+    # changes it here, so each wanted class's fallback holds until then.
     denied_views = []
     unhomed: list[tuple[str, int]] = []
+    fallback: dict[str, VMClass | None] = {}
     for view in planned_new:
         fitted = {p: c for p, c in view.allocations.items() if c}
         try:
             r = provider.provision(view.vm_class, now)
         except CapacityError as exc:
             report.denied.append(exc.denial)
-            stand_in = _fallback_class(provider, view.vm_class, now)
+            wanted = view.vm_class.name
+            if wanted not in fallback:
+                fallback[wanted] = _fallback_class(
+                    provider, view.vm_class, now
+                )
+            stand_in = fallback[wanted]
             if stand_in is None:
                 denied_views.append(view)
                 unhomed.extend(sorted(fitted.items()))
@@ -200,6 +209,7 @@ def apply_plan(
             report.fallbacks.append(
                 (view.vm_class.name, stand_in.name, r.instance_id)
             )
+        fallback.clear()
         report.provisioned.append(r.instance_id)
         expected[r.instance_id] = (r.vm_class.name, dict(fitted))
         for pe_name, cores in fitted.items():
@@ -222,9 +232,10 @@ def apply_plan(
     # 3½. re-home displaced cores onto free fleet capacity, first-fit in
     # fleet (provisioning) order.  Runs after step 4 so survivors' plan
     # growth is not crowded out; whatever finds no room is dropped.  The
-    # loop only allocates, so the fleet is listed once.
+    # loop only allocates, so the fleet is listed once, and a pass that
+    # leaves cores unplaced has filled every VM: the rest is dropped.
     fleet = provider.active_instances() if unhomed else []
-    for pe_name, missing in unhomed:
+    for n, (pe_name, missing) in enumerate(unhomed):
         for r in fleet:
             if missing <= 0:
                 break
@@ -239,7 +250,10 @@ def apply_plan(
             name, alloc = expected[r.instance_id]
             alloc[pe_name] = alloc.get(pe_name, 0) + take
         if missing > 0:
-            report.dropped_cores += missing
+            report.dropped_cores += missing + sum(
+                m for _, m in unhomed[n + 1:]
+            )
+            break
 
     # 4¾. viability: no planned PE may end up coreless — the fluid
     # pipeline's throughput is zero if any stage has zero capacity, so
