@@ -78,6 +78,9 @@ class ConstantPerformance:
         self._latency = float(latency_s)
         self._bandwidth = float(bandwidth_mbps)
         self._cpu_series = np.array([self._cpu])
+        #: Colocation mask per (keys_a, keys_b), ``None`` when no pair
+        #: is colocated (see bandwidth_matrix).
+        self._colocated: dict[tuple[tuple, tuple], Optional[np.ndarray]] = {}
 
     def cpu_coefficient(self, trace_key: str, t: float) -> float:
         return self._cpu
@@ -98,13 +101,21 @@ class ConstantPerformance:
         The execution engine uses this to price a whole edge's VM-pair
         links per network refresh instead of one model call per pair.
         Identical keys (colocation) report infinite bandwidth, matching
-        :meth:`bandwidth_mbps`.
+        :meth:`bandwidth_mbps`; the colocation mask is memoized per key
+        tuple, as ``TraceReplayPerformance`` memoizes its pair table.
         """
+        table_key = (tuple(keys_a), tuple(keys_b))
+        try:
+            eq = self._colocated[table_key]
+        except KeyError:
+            eq = np.equal.outer(
+                np.asarray(keys_a, dtype=object),
+                np.asarray(keys_b, dtype=object),
+            )
+            eq = self._colocated[table_key] = eq if eq.any() else None
         mat = np.full((len(keys_a), len(keys_b)), self._bandwidth)
-        eq = np.equal.outer(
-            np.asarray(keys_a, dtype=object), np.asarray(keys_b, dtype=object)
-        )
-        mat[eq] = float("inf")
+        if eq is not None:
+            mat[eq] = float("inf")
         return mat
 
     def latency_s(self, key_a: str, key_b: str, t: float) -> float:

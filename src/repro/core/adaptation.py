@@ -580,10 +580,15 @@ class RuntimeAdaptation:
         input_rates: Mapping[str, float],
     ) -> None:
         """Release cores while the predicted throughput keeps clearing
-        Ω̂ + ε (with hysteresis margin already verified by the caller)."""
+        Ω̂ + ε (with hysteresis margin already verified by the caller).
+
+        The capacities are built once: a trial release changes only its
+        PE's, re-summed as ``pe_units_map`` sums it (the PE's hosts in
+        VM order, left to right from 0.0), and a revert restores it."""
         cfg = self.config
         df = self.dataflow
         floor = cfg.omega_min + cfg.epsilon
+        caps = cluster.capacities(df, selection)
         while True:
             released = False
             # Prefer draining the most lightly used VM so it can retire.
@@ -596,13 +601,20 @@ class RuntimeAdaptation:
                 if cluster.pe_cores(pe_name) <= 1:
                     continue  # every PE keeps at least one core
                 vm.release(pe_name, 1)
-                caps = cluster.capacities(df, selection)
+                kept = caps[pe_name]
+                units = 0.0
+                for host in cluster.vms:
+                    if pe_name in host.allocations:
+                        units += host.units_for(pe_name)
+                cost = df.active_alternate(selection, pe_name).cost
+                caps[pe_name] = units / cost
                 flow = constrained_rates(df, selection, input_rates, caps)
                 omega = relative_application_throughput(df, flow)
                 if omega >= floor - _EPS:
                     released = True
                     break
                 vm.allocate(pe_name, 1)  # revert: too aggressive
+                caps[pe_name] = kept
             if not released:
                 break
 

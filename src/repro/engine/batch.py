@@ -191,8 +191,6 @@ class BatchRunner:
         self.macro_jumps = 0
         self.macro_ticks_skipped = 0
         self.ticks_executed = 0
-        #: (key, groups, pinned arrays) from the previous _pack epoch.
-        self._coef_cache: Optional[tuple] = None
         # Last epoch's pack, reusable when no cell's fleet was rebuilt:
         # (layout key, per-column content signatures, pack, tick).
         self._pack_reuse: Optional[tuple] = None
@@ -379,16 +377,16 @@ class BatchRunner:
         return pack
 
     def _pack_coefs(self, pack: _Pack, cols: list[_Cell]) -> None:
-        """Group the cells' CPU-trace stacks for the batched gather.
+        """Group the cells' CPU-trace gathers for the batched one.
 
-        Each column's stacked group joins the batch group of its (length,
-        resolution), whose stack holds each distinct series of its
-        members once; lanes outside it (``pack.coef_scalar`` columns) are
-        filled by the column's executor.  The batch groups are pure
-        functions of the member executors' groups, which only change on
-        a fleet rebuild: reuse the previous epoch's groups while the
-        same group objects (pinned alive in the cache, so ids cannot be
-        recycled) line up in the same columns."""
+        Each column's group joins the batch group of its (length,
+        resolution), built from the members' rows, offsets and lanes
+        alone: it gathers from the members' stack — the trace library's
+        own array when they replay one library — so packing copies no
+        series; only members with distinct stacks of their own (series
+        that are not library views) are concatenated.  Lanes outside
+        the groups (``pack.coef_scalar`` columns) are filled by the
+        column's executor."""
         Vmax = pack.Vmax
         coef_members: dict[tuple[int, float], list[int]] = {}
         pack.coef_scalar = []
@@ -399,36 +397,23 @@ class BatchRunner:
                 coef_members.setdefault(key, []).append(c)
             if st.ex._coef_scalar_idx:
                 pack.coef_scalar.append(c)
-        coef_key = (
-            Vmax,
-            tuple(
-                (grp_key, tuple((c, id(cols[c].ex._coef_group))
-                                for c in members))
-                for grp_key, members in coef_members.items()
-            ),
-        )
-        cached = self._coef_cache
-        if cached is not None and cached[0] == coef_key:
-            pack.coef_groups = cached[1]
-        else:
-            pack.coef_groups = []
-            for (_L, res), members in coef_members.items():
-                groups = [cols[c].ex._coef_group for c in members]
-                flat = [c * Vmax + g.flat for c, g in zip(members, groups)]
-                pack.coef_groups.append(
-                    _CoefGroup(
-                        [s for g in groups for s in g.series],
-                        np.concatenate([g.offsets for g in groups]),
-                        np.concatenate(flat),
-                        res,
-                    )
-                )
-            pins = [
-                cols[c].ex._coef_group
-                for members in coef_members.values()
-                for c in members
-            ]
-            self._coef_cache = (coef_key, pack.coef_groups, pins)
+        pack.coef_groups = []
+        for (_L, res), members in coef_members.items():
+            groups = [cols[c].ex._coef_group for c in members]
+            first: dict[int, int] = {}
+            stacks = []
+            for g in groups:
+                if id(g.stack) not in first:
+                    first[id(g.stack)] = sum(s.shape[0] for s in stacks)
+                    stacks.append(g.stack)
+            pack.coef_groups.append(_CoefGroup(
+                stacks[0] if len(stacks) == 1 else np.concatenate(stacks),
+                np.concatenate([g.rows + first[id(g.stack)] for g in groups]),
+                np.concatenate([g.offsets for g in groups]),
+                np.concatenate([c * Vmax + g.flat
+                                for c, g in zip(members, groups)]),
+                res,
+            ))
 
     def _speed_phase(self, pack: _Pack) -> _SpeedPhase:
         """Tick phase 1 over the pack's stacked arrays."""

@@ -19,9 +19,12 @@ implements the paper's runtime semantics (§5):
 
 The per-tick hot path is fully array-oriented: egress buffers and
 network budgets live in ``(E, V)`` matrices, CPU coefficients for the
-whole fleet are gathered from stacked trace views with one indexing
-operation, and interval counters accumulate in NumPy arrays that are
-flushed to the :class:`IntervalStats` dicts once per
+whole fleet are gathered in place from the trace library's array with
+one indexing operation, a network refresh prices every edge in one pass
+(:class:`_LinkPlan`), edge transfers that no link budget limits skip
+the budget arithmetic (:func:`_unbound`), and interval counters
+accumulate in NumPy arrays that are flushed to the
+:class:`IntervalStats` dicts once per
 :meth:`roll_interval`.  The batch tick (:mod:`repro.engine.batch`) runs
 the same code: both ticks are phase 1 and one call.  Phases 0 and 2–5
 — migration release, external arrivals with the unhosted holding
@@ -179,38 +182,68 @@ def _reject_synchronize_merges(dataflow: DynamicDataflow) -> None:
         )
 
 
+def _library_rows(series: list) -> Optional[tuple[np.ndarray, list]]:
+    """``(base, rows)`` when every series is row ``rows[k]`` of one
+    C-contiguous 2-D array ``base`` (views of one trace library's rows),
+    else ``None``."""
+    base = series[0].base
+    if not (isinstance(base, np.ndarray) and base.ndim == 2
+            and base.flags.c_contiguous and base.size):
+        return None
+    start = base.__array_interface__["data"][0]
+    rows = []
+    for s in series:
+        row, rem = divmod(s.__array_interface__["data"][0] - start,
+                          base.strides[0])
+        if (s.base is not base or rem or s.dtype != base.dtype
+                or s.shape != base.shape[1:]
+                or s.strides != base.strides[1:]):
+            return None
+        rows.append(row)
+    return base, rows
+
+
 class _CoefGroup:
     """Stacked CPU-trace series sharing one (length, resolution).
 
-    ``series[k]`` is the series of the VM lane ``flat[k]`` (an index into
-    the flattened coefficient array), read at ``offsets[k] + int(t / res)``
-    modulo ``length``.  ``stack`` holds each distinct series once, lane
-    ``k``'s as row ``rows[k]``: lanes whose series are the same memory
-    (views of one trace-library row) share a row, so a fleet's stack is
-    no larger than its library and building one copies no per-VM series.
+    Lane ``k`` (the flattened coefficient index ``flat[k]``) reads row
+    ``rows[k]`` of ``stack`` at ``offsets[k] + int(t / res)`` modulo
+    ``length``.  :meth:`of` gathers straight from the trace library's
+    own 2-D array when every series is a view of one of its rows, so a
+    fleet's group copies no series at all; only series that are not
+    such views are stacked, each distinct one (by memory) once.
     """
 
-    __slots__ = ("series", "stack", "rows", "offsets", "flat", "res",
-                 "length")
+    __slots__ = ("stack", "rows", "offsets", "flat", "res", "length")
 
-    def __init__(self, series: list, offsets, flat, res) -> None:
-        first: dict[tuple, int] = {}
-        distinct: list[np.ndarray] = []
-        rows = []
-        for s in series:
-            key = (s.__array_interface__["data"][0], s.strides, s.dtype.str)
-            row = first.get(key)
-            if row is None:
-                row = first[key] = len(distinct)
-                distinct.append(s)
-            rows.append(row)
-        self.series = series
-        self.stack = np.stack(distinct)
-        self.rows = np.array(rows, dtype=np.intp)
+    def __init__(self, stack, rows, offsets, flat, res) -> None:
+        self.stack = stack
+        self.rows = rows
         self.offsets = offsets
         self.flat = flat
         self.res = res
-        self.length = self.stack.shape[1]
+        self.length = stack.shape[1]
+
+    @classmethod
+    def of(cls, series: list, offsets, flat, res) -> "_CoefGroup":
+        """The group of lanes whose series are ``series``."""
+        found = _library_rows(series)
+        if found is not None:
+            stack, rows = found
+        else:
+            first: dict[tuple, int] = {}
+            distinct: list[np.ndarray] = []
+            rows = []
+            for s in series:
+                key = (s.__array_interface__["data"][0], s.strides,
+                       s.dtype.str)
+                row = first.get(key)
+                if row is None:
+                    row = first[key] = len(distinct)
+                    distinct.append(s)
+                rows.append(row)
+            stack = np.stack(distinct)
+        return cls(stack, np.array(rows, dtype=np.intp), offsets, flat, res)
 
 
 class _SpeedPhase:
@@ -485,6 +518,15 @@ def _drift_state(backlog: np.ndarray, rec: _TickRecord,
     return out
 
 
+def _unbound(want: np.ndarray, cap: np.ndarray) -> bool:
+    """Does no link budget bind in phase 3?  ``want <= cap`` on every
+    lane makes the moved fraction ``f = min(cap / want, 1)`` exactly 1
+    everywhere: for positive finite floats ``fl(x / y) >= 1`` iff ``x >=
+    y``, an infinite budget gives ``inf``, and lanes at or below
+    ``_EPS`` keep ``f = 1`` anyway."""
+    return bool((want <= cap).all())
+
+
 def _flow_phases(o, columns, sp: _SpeedPhase, t: float, dt: float,
                  rates: np.ndarray, record: bool,
                  scalar: bool = True) -> Optional[_TickRecord]:
@@ -570,31 +612,35 @@ def _flow_phases(o, columns, sp: _SpeedPhase, t: float, dt: float,
     # arrivals_j = s_j (Σ_i f_i eg_i + eg_j (1 − f_j)).
     eg = o._egress
     if eg.size:
-        active = (_seqsum(eg) > _EPS) & sp.dst_live
+        eg_sum = _seqsum(eg)
+        active = (eg_sum > _EPS) & sp.dst_live
         n_active = np.count_nonzero(active)
         if n_active:
             remote_want = eg * sp.dst_rest
-            # Masked divide: lanes below the epsilon keep f = 1 and
-            # are never computed, so no errstate guard is needed.
-            f = np.ones_like(eg)
-            np.divide(
-                o._remote_budget * dt, remote_want, out=f,
-                where=remote_want > _EPS,
-            )
-            np.minimum(f, 1.0, out=f)
-            kept = 1.0 - f
-            moved_pool = _seqsum(f * eg)
-            contrib = sp.dst_shares * (
-                moved_pool[..., np.newaxis] + eg * kept
-            )
-            left = remote_want * kept
+            cap = o._remote_budget * dt
+            if _unbound(remote_want, cap):
+                # f = 1 on every lane: the whole egress moves.
+                contrib = sp.dst_shares * eg_sum[..., np.newaxis]
+                left = 0.0
+            else:
+                # Masked divide: lanes below the epsilon keep f = 1 and
+                # are never computed, so no errstate guard is needed.
+                f = np.ones_like(eg)
+                np.divide(cap, remote_want, out=f, where=remote_want > _EPS)
+                np.minimum(f, 1.0, out=f)
+                kept = 1.0 - f
+                moved_pool = _seqsum(f * eg)
+                contrib = sp.dst_shares * (
+                    moved_pool[..., np.newaxis] + eg * kept
+                )
+                left = remote_want * kept
             rows = arrivals.reshape(-1, V)
             if n_active == active.size:
                 np.add.at(rows, o._edge_dst, contrib)
                 eg[...] = left
             else:
                 np.add.at(rows, o._edge_dst[active], contrib[active])
-                eg[active] = left[active]
+                np.copyto(eg, left, where=active[..., np.newaxis])
 
     # 4. processing.
     queue = backlog + arrivals
@@ -764,6 +810,75 @@ class _MigratingBuffer:
         self.available_at = available_at
 
 
+class _LinkPlan:
+    """What a network refresh prices, fixed by the placement: built on
+    the first refresh after a fleet rebuild (``sync`` drops it).
+
+    ``edges`` lists every edge whose endpoints are both hosted as ``(k,
+    iw, src, dst)``: its row, its destination PE, its source VMs and its
+    destination VMs, evenly subsampled when the edge spans more than
+    ``network_pair_cap`` VM pairs.  For the one-pass pricing, ``pe`` and
+    ``dst`` hold each edge's destination shares' index, left-aligned
+    and padded to the widest edge, ``mask`` flags the real entries, and
+    each row of the ``(R, D)`` arrays is one (edge, source VM) lane: its
+    edge ``edge``, its budget entry ``(k, src)``, its bandwidth entries
+    ``(a, b)`` in the ``keys_a × keys_b`` matrix (the VMs that are some
+    edge's source by those that are some edge's destination), its rated
+    cap (the slower NIC) and ``skip``: padding, and a VM's link to
+    itself.
+    """
+
+    __slots__ = ("edges", "pe", "dst", "mask", "edge", "k", "src",
+                 "keys_a", "keys_b", "a", "b", "rated", "skip")
+
+    def __init__(self, ex: "FluidExecutor") -> None:
+        self.edges = []
+        cap = ex.network_pair_cap
+        hosted = ex._alloc > 0
+        hosts = [np.flatnonzero(row) for row in hosted]
+        for k, (u, w) in enumerate(ex._edges):
+            iw = ex._pe_index[w]
+            src, dst = hosts[ex._pe_index[u]], hosts[iw]
+            if src.size == 0 or dst.size == 0:
+                continue
+            if src.size * dst.size > cap:
+                # Subsample destinations deterministically (evenly
+                # spaced).
+                keep = max(1, cap // src.size)
+                dst = dst[::max(1, dst.size // keep)]
+            self.edges.append((k, iw, src, dst))
+        if not self.edges:
+            return
+        ks, pes, srcs, dsts = zip(*self.edges)
+        sizes = [src.size for src in srcs]
+        self.pe = np.array(pes)[:, np.newaxis]
+        self.dst = np.zeros((len(dsts), max(d.size for d in dsts)),
+                            dtype=np.intp)
+        self.mask = np.zeros(self.dst.shape, dtype=bool)
+        for e, d in enumerate(dsts):
+            self.dst[e, :d.size] = d
+            self.mask[e, :d.size] = True
+        self.edge = np.repeat(np.arange(len(dsts)), sizes)
+        self.k = np.repeat(ks, sizes)
+        self.src = np.concatenate(srcs)
+        dst = self.dst[self.edge]
+        # Bandwidth matrix rows: the VMs some edge prices from, in VM
+        # order; columns: those some edge prices to.
+        is_a = np.zeros(hosted.shape[1], dtype=bool)
+        is_a[self.src] = True
+        is_b = np.zeros(hosted.shape[1], dtype=bool)
+        is_b[self.dst[self.mask]] = True
+        self.keys_a = tuple(ex._vms[j].trace_key
+                            for j in np.flatnonzero(is_a).tolist())
+        self.keys_b = tuple(ex._vms[j].trace_key
+                            for j in np.flatnonzero(is_b).tolist())
+        self.a = (np.cumsum(is_a) - 1)[self.src][:, np.newaxis]
+        self.b = (np.cumsum(is_b) - 1)[dst]
+        self.rated = np.minimum(ex._rated_bw[self.src][:, np.newaxis],
+                                ex._rated_bw[dst])
+        self.skip = (self.src[:, np.newaxis] == dst) | ~self.mask[self.edge]
+
+
 class FluidExecutor:
     """Runs one dynamic dataflow over a provider's fleet.
 
@@ -917,9 +1032,9 @@ class FluidExecutor:
         self._next_net_refresh = -np.inf
         #: Placement signature of the last full sync() rebuild.
         self._sync_sig: Optional[tuple] = None
-        #: Per-edge network-probe structure (see _refresh_network);
+        #: What a network refresh prices (see _refresh_network);
         #: placement-derived, rebuilt lazily after each fleet change.
-        self._net_plan: Optional[list] = None
+        self._net_plan: Optional[_LinkPlan] = None
 
         #: gain-matrix memo per selection key (the adaptation loop flips
         #: between a handful of selections every alternate stage).
@@ -1225,7 +1340,7 @@ class FluidExecutor:
                 if key != (L, res):
                     self._coef_scalar_idx.extend(other)
             views = [self._cpu_views[j] for j in idx]
-            self._coef_group = _CoefGroup(
+            self._coef_group = _CoefGroup.of(
                 [v[0] for v in views],
                 np.array([v[1] for v in views], dtype=np.intp),
                 np.array(idx, dtype=np.intp),
@@ -1833,93 +1948,67 @@ class FluidExecutor:
 
         For each dataflow edge and each source VM, the budget is the
         share-weighted message rate the source can push to the remote
-        destination VMs.  Large VM-pair products are subsampled (see
-        ``network_pair_cap``).
+        destination VMs: measured pairwise bandwidth, capped at the
+        slower endpoint's rated NIC, weighted by the destination routing
+        shares.  Large VM-pair products are subsampled (see
+        ``network_pair_cap``).  All edges are priced in one pass over
+        the fleet's :class:`_LinkPlan`: one ``bandwidth_matrix`` call
+        and a fixed number of array operations, however many edges.
         """
         # In place (not a fresh array): the batch executor aliases this
         # buffer into its stacked state, and the values are identical.
         self._remote_budget.fill(np.inf)
+        plan = self._net_plan
+        if plan is None:
+            plan = self._net_plan = _LinkPlan(self)
+        if not plan.edges:
+            return
         per_msg_mbit = self.message_size_mb * 8.0
         performance = self.provider.performance
         matrix_fn = getattr(performance, "bandwidth_matrix", None)
-        # Everything except the measured bandwidth and the routing shares
-        # is a pure function of the placement: cache the per-edge index
-        # sets, trace-key tuples and rated-NIC caps until the next fleet
-        # rebuild (``sync`` clears the plan).
-        net_plan = self._net_plan
-        if net_plan is None:
-            net_plan = []
-            for u, w in self._edges:
-                iu, iw = self._pe_index[u], self._pe_index[w]
-                src_idx = np.flatnonzero(self._alloc[iu] > 0)
-                dst_idx = np.flatnonzero(self._alloc[iw] > 0)
-                if src_idx.size == 0 or dst_idx.size == 0:
-                    net_plan.append(None)
-                    continue
-                n_pairs = src_idx.size * dst_idx.size
-                if n_pairs > self.network_pair_cap:
-                    # Subsample destinations deterministically (evenly
-                    # spaced).
-                    keep = max(1, self.network_pair_cap // src_idx.size)
-                    step = max(1, dst_idx.size // keep)
-                    dst_sample = dst_idx[::step]
-                else:
-                    dst_sample = dst_idx
-                net_plan.append((
-                    iw,
-                    src_idx,
-                    dst_sample,
-                    tuple(self._vms[si].trace_key for si in src_idx),
-                    tuple(self._vms[dj].trace_key for dj in dst_sample),
-                    np.minimum.outer(
-                        self._rated_bw[src_idx], self._rated_bw[dst_sample]
-                    ),
-                    src_idx[:, np.newaxis] == dst_sample[np.newaxis, :],
-                ))
-            self._net_plan = net_plan
-        for k, plan in enumerate(net_plan):
-            if plan is None:
-                continue
-            iw, src_idx, dst_sample, src_keys, dst_keys, rated, same = plan
-            budget = self._remote_budget[k]
-            dst_share = shares[iw][dst_sample]
-            share_sum = dst_share.sum()
-            if matrix_fn is not None:
-                # One batched model call for the whole edge: measured
-                # pairwise bandwidth, capped at the slower endpoint's
-                # rated NIC, weighted by the destination routing shares.
-                measured = matrix_fn(src_keys, dst_keys, t)
-                bw = np.minimum(measured, rated)
-                weights = (
-                    dst_share / share_sum
-                    if share_sum > 0
-                    else np.ones_like(dst_share)
-                )
-                contrib = (bw / per_msg_mbit) * weights[np.newaxis, :]
-                excluded = np.isinf(bw) | same
-                # Sequential sum with excluded terms as exact +0.0 matches
-                # the scalar fallback's accumulation order bit for bit.
-                contrib[excluded] = 0.0
-                total = _seqsum(contrib)
-                budget[src_idx] = np.where(total > 0, total, np.inf)
-                continue
-            for si in src_idx:
-                src_key = self._vms[si].trace_key
-                src_rated = self._rated_bw[si]
-                total_rate = 0.0
-                for kk, dj in enumerate(dst_sample):
-                    if dj == si:
-                        continue
-                    bw = min(
-                        performance.bandwidth_mbps(
-                            src_key, self._vms[dj].trace_key, t
-                        ),
-                        src_rated,
-                        self._rated_bw[dj],
-                    )
-                    if bw == np.inf:
-                        continue  # colocated: in-memory transfer
-                    total_rate += (bw / per_msg_mbit) * (
-                        dst_share[kk] / share_sum if share_sum > 0 else 1.0
-                    )
-                budget[si] = total_rate if total_rate > 0 else np.inf
+        if matrix_fn is None:
+            # A model without the matrix hook: one call per VM pair.
+            for k, iw, src_idx, dst_sample in plan.edges:
+                budget = self._remote_budget[k]
+                dst_share = shares[iw][dst_sample]
+                share_sum = dst_share.sum()
+                for si in src_idx:
+                    src_key = self._vms[si].trace_key
+                    src_rated = self._rated_bw[si]
+                    total_rate = 0.0
+                    for kk, dj in enumerate(dst_sample):
+                        if dj == si:
+                            continue
+                        bw = min(
+                            performance.bandwidth_mbps(
+                                src_key, self._vms[dj].trace_key, t
+                            ),
+                            src_rated,
+                            self._rated_bw[dj],
+                        )
+                        if bw == np.inf:
+                            continue  # colocated: in-memory transfer
+                        total_rate += (bw / per_msg_mbit) * (
+                            dst_share[kk] / share_sum
+                            if share_sum > 0 else 1.0
+                        )
+                    budget[si] = total_rate if total_rate > 0 else np.inf
+            return
+        share = shares[plan.pe, plan.dst]
+        # Reduced under the padding mask, each edge's shares go through
+        # numpy's pairwise summation as one run: ``ndarray.sum()`` of
+        # the edge alone, bit for bit.
+        share_sum = np.add.reduce(share, axis=1, where=plan.mask)
+        weights = np.ones_like(share)
+        np.divide(share, share_sum[:, np.newaxis], out=weights,
+                  where=(share_sum > 0)[:, np.newaxis])
+        measured = matrix_fn(plan.keys_a, plan.keys_b, t)[plan.a, plan.b]
+        bw = np.minimum(measured, plan.rated)
+        contrib = (bw / per_msg_mbit) * weights[plan.edge]
+        # Sequential sum with excluded terms as exact +0.0 matches the
+        # scalar pricing's accumulation order bit for bit.
+        contrib[plan.skip | np.isinf(bw)] = 0.0
+        total = _seqsum(contrib)
+        self._remote_budget[plan.k, plan.src] = np.where(
+            total > 0, total, np.inf
+        )

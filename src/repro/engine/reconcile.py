@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..cloud.provider import CapacityError, CloudProvider, ProvisionDenied
+from ..cloud.provider import CloudProvider, ProvisionDenied
 from ..cloud.resources import VMClass, VMInstance
 from ..core.state import DeploymentPlan
 from ..validate import invariants as _validate
@@ -178,21 +178,22 @@ def apply_plan(
             provider.terminate(r, now)
             report.terminated.append(instance_id)
 
-    # 3. provision new VMs.  A typed capacity/admission denial degrades
-    # the plan rather than aborting: fall back to an admittable class,
-    # re-home what still does not fit (below), and replan next round.
-    # An admission review reads only the fleet (the contract on
-    # ``CloudProvider.admission``), and only a successful provision
-    # changes it here, so each wanted class's fallback holds until then.
+    # 3. provision new VMs through ``try_provision``, which returns a
+    # capacity/admission denial as a record instead of raising it.  A
+    # denial degrades the plan rather than aborting: fall back to an
+    # admittable class, re-home what still does not fit (below), and
+    # replan next round.  An admission review reads only the fleet (the
+    # contract on ``CloudProvider.admission``), and only a successful
+    # provision changes it here, so each wanted class's fallback holds
+    # until then.
     denied_views = []
     unhomed: list[tuple[str, int]] = []
     fallback: dict[str, VMClass | None] = {}
     for view in planned_new:
         fitted = {p: c for p, c in view.allocations.items() if c}
-        try:
-            r = provider.provision(view.vm_class, now)
-        except CapacityError as exc:
-            report.denied.append(exc.denial)
+        r = provider.try_provision(view.vm_class, now)
+        if isinstance(r, ProvisionDenied):
+            report.denied.append(r)
             wanted = view.vm_class.name
             if wanted not in fallback:
                 fallback[wanted] = _fallback_class(

@@ -1,16 +1,23 @@
-"""``_scale_out``'s per-call index on the cases random draws rarely hit.
+"""The planners' kept capacities on the cases random draws rarely hit.
 
 ``RuntimeAdaptation._scale_out`` keeps each PE's host positions and unit
 terms, re-sums a PE's capacity from the last host's term alone, reuses
 the last core's VM instead of scanning for a free core where the scan's
-answer is known, and sizes a new VM from the kept terms.  The hypothesis
-oracle in ``test_adapt_oracle.py`` draws small fleets; each case here is
-built to take one of those paths, and must give the object-based
-reference's plan, with the kept capacities equal to the plan's.
+answer is known, and sizes a new VM from the kept terms.
+``_scale_in`` builds the capacities once and re-sums only the PE a trial
+release touches, restoring it on a revert.  The hypothesis oracle in
+``test_adapt_oracle.py`` draws small fleets; each case here is built to
+take one of those paths, and must give the object-based reference's
+plan, with the kept capacities equal to the plan's.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
+import pytest
+
+from repro.core import adaptation
 from repro.core.adaptation import AdaptationConfig, RuntimeAdaptation
 from repro.core.state import ClusterView, Snapshot, VMView
 from repro.experiments.scenarios import fig1_dataflow
@@ -123,3 +130,56 @@ def test_global_chain_of_new_vms():
     assert len(new) >= 5
     assert {vm.vm_class.name for vm in new} >= {"m1.xlarge", "m1.small"}
     assert any(len(vm.allocations) > 1 for vm in new)
+
+
+#: Two fleets on which scale-in makes several trial releases.  In the
+#: first, E3's four hosts have unit terms (0.2, 0.4, 0.6, 2.0) that add up
+#: differently in another order; in the second, E3's three hosts carry
+#: most of the load and some trials miss Ω̂ + ε and are reverted.
+SCALE_IN = {
+    "order": (0.2, [
+        (XLARGE, 0.05, {"E3": 2, "E1": 1}),
+        (LARGE, 0.1, {"E3": 2}),
+        (XLARGE, 0.15, {"E3": 2, "E2": 1}),
+        (XLARGE, 1.0, {"E3": 1, "E4": 1, "E2": 2}),
+    ]),
+    "reverts": (2.0, [
+        (XLARGE, 0.3, {"E3": 2, "E1": 2}),
+        (LARGE, 0.3, {"E3": 2}),
+        (XLARGE, 1.1, {"E3": 3, "E2": 1}),
+        (XLARGE, 0.7, {"E4": 2, "E2": 2}),
+    ]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCALE_IN))
+def test_scale_in_resums_a_pe_on_three_hosts(case, monkeypatch):
+    """Every trial release is evaluated on capacities equal, bit for
+    bit, to rebuilding them from the trial fleet, and the plan is the
+    reference's."""
+    rate, fleet = SCALE_IN[case]
+    vms = [
+        VMView(vm_class=klass, instance_id=f"vm-{i}", coefficient=c,
+               allocations=dict(alloc))
+        for i, (klass, c, alloc) in enumerate(fleet)
+    ]
+    snapshot = replace(_snapshot(vms, rate=rate), omega_last=1.0,
+                       omega_average=1.0)
+    config = AdaptationConfig(strategy="global")
+    trials = []
+    evaluate = adaptation.constrained_rates
+
+    class Spied(RuntimeAdaptation):
+        def _scale_in(self, cluster, selection, input_rates):
+            def checked(df, sel, rates, caps):
+                trials.append(caps == cluster.capacities(df, sel))
+                return evaluate(df, sel, rates, caps)
+
+            with monkeypatch.context() as m:
+                m.setattr(adaptation, "constrained_rates", checked)
+                super()._scale_in(cluster, selection, input_rates)
+
+    plan = Spied(DF, CATALOG, config).adapt(snapshot, 1)
+    expected = ReferenceAdaptation(DF, CATALOG, config).adapt(snapshot, 1)
+    assert layout(plan, snapshot) == layout(expected, snapshot)
+    assert len(trials) > 4 and all(trials)

@@ -3,10 +3,11 @@
 Each batch tick evaluates every distinct rate profile once into one
 flat array and reads the columns' and the zero-VM cells' rates from it
 with one gather; a one-input column's padded input reads the trailing
-zero slot.  Phase 1 gathers CPU coefficients from stacks that hold each
-distinct trace series once: lanes whose series are the same memory share
-a row.  Rows and coefficients must equal the serial engine's, and the
-per-VM model calls', bit for bit.
+zero slot.  Phase 1 gathers CPU coefficients in place from the trace
+library's own array when every lane's series is a view of one of its
+rows, and otherwise from a stack that holds each distinct series once.
+Rows and coefficients must equal the serial engine's, and the per-VM
+model calls', bit for bit.
 """
 
 from __future__ import annotations
@@ -142,11 +143,16 @@ def _same_speeds(ex: FluidExecutor, reference: FluidExecutor) -> None:
 
 
 def test_lanes_sharing_a_library_row_share_a_stack_row():
+    """The group gathers in place from the library's own array: lanes
+    replaying one library row read one row of it, and no series is
+    copied."""
     library = _library()
     ex = _executor(TraceReplayPerformance(library))
     g = ex._coef_group
     assert len(g.flat) == 8
-    assert g.stack.shape[0] == len(set(g.rows.tolist())) <= 3
+    assert g.stack is library.cpu_series
+    assert np.shares_memory(g.stack, library.cpu_series)
+    assert len(set(g.rows.tolist())) <= 3
     for k, j in enumerate(g.flat.tolist()):
         series = ex._cpu_views[j][0]
         assert np.shares_memory(series, library.cpu_series)
@@ -164,24 +170,30 @@ def test_series_sharing_no_memory_keep_a_row_each():
 
 
 def test_batch_stack_holds_each_library_row_once():
-    """Two cells of one seed replay one library: the batch's stack holds
-    each of its rows once, however many VMs replay it."""
+    """Two cells of one seed replay one library: the batch's group
+    gathers in place from the library's own array, which holds each of
+    its rows once however many VMs replay it."""
     scenario = Scenario(**SCENARIO)
     runner = BatchRunner([scenario.manager(p) for p in ("global", "local")])
-    groups = []
+    packs = []
     pack_coefs = runner._pack_coefs
 
     def spied(pack, cols):
         pack_coefs(pack, cols)
-        groups.extend(pack.coef_groups)
+        packs.append((pack.Vmax, list(cols), list(pack.coef_groups)))
 
     runner._pack_coefs = spied
     results = runner.run()
-    assert groups
-    for g in groups:
-        assert g.stack.shape[0] == len(set(g.rows.tolist()))
-        assert g.stack.shape[0] <= 16  # the library's rows
-    assert any(g.stack.shape[0] < len(g.flat) for g in groups)
+    assert packs
+    for vmax, cols, groups in packs:
+        (g,) = groups
+        library = cols[0].ex.provider.performance.library
+        assert g.stack is library.cpu_series
+        assert np.shares_memory(g.stack, library.cpu_series)
+        for k, lane in enumerate(g.flat.tolist()):
+            c, j = divmod(lane, vmax)
+            series = cols[c].ex._cpu_views[j][0]
+            assert g.stack[g.rows[k]].tobytes() == series.tobytes()
     for policy, got in zip(("global", "local"), results):
         want = scenario.manager(policy).run()
         assert SweepRow.from_result(scenario, got) == SweepRow.from_result(

@@ -11,7 +11,8 @@ denial is recorded and traced.
 
 from __future__ import annotations
 
-from repro.cloud import CloudProvider, aws_2013_catalog
+from repro.cloud import CapacityError, CloudProvider, aws_2013_catalog
+from repro.cloud.provider import ProvisionDenied
 from repro.core import ClusterView, DeploymentPlan
 from repro.engine import FluidExecutor, apply_plan
 from repro.engine.tenants import AdmissionPolicy
@@ -118,3 +119,38 @@ def test_full_fleet_drops_the_remaining_cores(chain3):
     assert report.viability_shifts == 0
     (vm,) = provider.active_instances()
     assert vm.allocations == {"src": 1, "mid": 2, "out": 1}
+
+
+def test_contended_reconcile_raises_no_capacity_error(chain3, monkeypatch):
+    """Planned VMs are requested through ``try_provision``, whose denial
+    comes back as the ledger's record: a contended reconcile raises (and
+    unwinds) no ``CapacityError`` and reports each denial, capacity and
+    admission alike, in request order, as the ledger records them."""
+    raised = []
+    init = CapacityError.__init__
+
+    def counted(self, denial):
+        raised.append(denial)
+        init(self, denial)
+
+    monkeypatch.setattr(CapacityError, "__init__", counted)
+    provider, executor = _setup(
+        chain3, {"m1.xlarge": 0}, admission=OnePerClass()
+    )
+    plan = _plan(chain3, [
+        ("m1.xlarge", {"src": 1}),
+        ("m1.large", {"mid": 1}),
+        ("m1.large", {"out": 1}),
+    ])
+    report = apply_plan(provider, executor, plan, 0.0)
+    assert raised == []
+    assert report.denied == list(provider.denials()) == [
+        ProvisionDenied(0, "m1.xlarge", "capacity", 0.0),
+        ProvisionDenied(0, "m1.large", "one-per-class", 0.0),
+        ProvisionDenied(0, "m1.large", "one-per-class", 0.0),
+    ]
+    assert [(p, a) for p, a, _ in report.fallbacks] == [
+        ("m1.xlarge", "m1.large"),
+        ("m1.large", "m1.medium"),
+        ("m1.large", "m1.small"),
+    ]
