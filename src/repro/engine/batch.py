@@ -40,18 +40,19 @@ The mechanics that make that possible:
   :meth:`RunManager.result` builds the cell's result — the very steps
   :meth:`RunManager.run` drives from the kernel clock.
 
-Macro-stepping (S24) is evaluated column-wise: each cell's own
-:meth:`~repro.engine.executor.FluidExecutor._macro_change_cap` bounds
-the jump, stationarity is classified per column from bitwise snapshots,
-and the batch jumps only when **every** column proves a constant
-stretch.  The probe's vectorized drift check
-(:func:`~repro.engine.executor._drift_prefix`) bounds the jump, and the
+Macro-stepping (S24) is the serial engine's protocol, run on the pack
+and its column executors: the gate
+(:func:`~repro.engine.executor._gate_cap`) takes the earliest change
+cap over every cell, the probe tick must leave the pack's egress and
+each column's holding buffers and migrations bitwise unchanged
+(:func:`~repro.engine.executor._image`), and
+:func:`~repro.engine.executor._jump` sizes the jump over the grid points
+up to the interval boundary with the probe's vectorized drift check, so
+the batch jumps only when every column proves a constant stretch.  The
 recorded :class:`~repro.engine.executor._TickRecord` commits through the
 serial engine's one replay (:class:`~repro.engine.executor._Run`), with
-no per-tick loop.  Window ticks are serial-only for now: the time pack
-(:class:`~repro.engine.executor._TimePack`) stacks an owner's leading
-axes, so a pack's ``(C, …)`` columns can take windows without a second
-routine.
+no per-tick loop.  The batch opens no windows: a wide batch keeps one
+regime for too few ticks to pay for a window's passes.
 
 Failure injection is out of scope (the failure driver is a foreign
 kernel process that rebuilds fleets mid-interval, while the batch packs
@@ -64,7 +65,6 @@ tick and macro jump, and the interval checks in ``roll_interval``.
 
 from __future__ import annotations
 
-import math
 from contextlib import nullcontext
 from typing import Hashable, Optional, Sequence
 
@@ -74,9 +74,8 @@ from ..obs import collector as _obs
 from ..util import perf
 from ..validate import invariants as _validate
 from .executor import (
-    _MACRO_BACKOFF, _MACRO_MAX_SKIP, _CoefGroup, _drift_prefix,
-    _flow_phases, _grid, _macro_default, _prefix, _Run, _SpeedPhase,
-    _TickRecord,
+    _MACRO_MAX_SKIP, _CoefGroup, _flow_phases, _gate_cap, _grid, _image,
+    _jump, _macro_default, _prefix, _Run, _SpeedPhase, _TickRecord,
 )
 from .manager import RunManager, RunResult, RunState
 # Unused here (the run lifecycle reconciles through ``repro.engine.manager``),
@@ -91,7 +90,7 @@ class _Cell:
 
     __slots__ = (
         "manager", "run", "env", "ex", "rate_key", "input_names",
-        "col", "P", "V", "E", "I", "O", "backoff", "last",
+        "col", "P", "V", "E", "I", "O", "last",
     )
 
     def __init__(
@@ -103,7 +102,6 @@ class _Cell:
         self.ex = run.executor
         self.rate_key = rate_key
         self.input_names = tuple(manager.dataflow.inputs)
-        self.backoff = -math.inf
         #: This cell's last tick while it has no fleet.
         self.last: Optional[_TickRecord] = None
         # The batch drives the clock itself, so no tick process starts:
@@ -123,10 +121,9 @@ class _Pack:
     """
 
     __slots__ = (
-        "cols", "v0", "states", "columns", "C", "Pmax", "Vmax", "Imax",
-        "tick", "alloc", "core_speed", "ready_time", "cost",
-        "profiles", "rate_idx", "coef_groups", "coef_scalar", "gate_at",
-        "speed",
+        "cols", "v0", "states", "columns", "executors", "C", "Pmax",
+        "Vmax", "Imax", "tick", "alloc", "core_speed", "ready_time", "cost",
+        "profiles", "rate_idx", "coef_groups", "coef_scalar", "speed",
         "_backlog", "_egress", "_remote_budget", "_selectivity",
         "_gain", "_edge_factors", "_input_idx", "_edge_src", "_edge_dst",
         "_output_idx", "_acc_external", "_acc_deliverable",
@@ -203,7 +200,7 @@ class BatchRunner:
         states = []
         for m, key in zip(self.managers, self._rate_keys):
             with self._cell_ctx(m):
-                states.append(_Cell(m, m.begin(macrostep=False), key))
+                states.append(_Cell(m, m.begin(), key))
         spec = self.managers[0].spec
         tick = float(self.managers[0].tick)
         t = 0.0
@@ -302,7 +299,6 @@ class BatchRunner:
             self._load_column(pack, c, cols[c])
         if changed:
             self._pack_coefs(pack, cols)
-        pack.gate_at = max(st.backoff for st in states)
         # Columns may have changed in place: phase 1 starts afresh.
         pack.speed = self._speed_phase(pack)
         if perf.enabled():
@@ -324,6 +320,7 @@ class BatchRunner:
         pack.cols = cols
         pack.v0 = v0
         pack.columns = {(c,): st.ex for c, st in enumerate(cols)}
+        pack.executors = [st.ex for st in states]
         C = pack.C = len(cols)
 
         # Rates: each distinct profile once (cells with equal rate keys
@@ -486,11 +483,20 @@ class BatchRunner:
 
     def _tick(self, pack: _Pack, t: float, b: float, tick: float) -> float:
         """Advance every cell from grid point ``t``; returns the next
-        grid point (past any macro jump)."""
-        gate_cap = None
-        if self.macro_enabled and t >= pack.gate_at and t + tick <= b:
-            gate_cap = self._gate(pack, t, tick)
-        snap = self._snapshot(pack) if gate_cap is not None else None
+        grid point (past any macro jump).
+
+        The macro protocol is the serial engine's, on the pack and its
+        column executors: :func:`~repro.engine.executor._gate_cap` before
+        the probe tick, :func:`~repro.engine.executor._jump` after it over
+        the grid points up to the interval boundary ``b``, and one replay
+        (:class:`~repro.engine.executor._Run`).
+        """
+        cols = pack.executors
+        cap = image = None
+        if self.macro_enabled and t + tick <= b:
+            cap = _gate_cap(cols, t, tick)
+            if cap is not None:
+                image = _image(pack, cols)
         if perf.enabled():
             with perf.timer("engine.batch_step"):
                 rec = self._phases(pack, t, tick)
@@ -501,85 +507,14 @@ class BatchRunner:
         self.ticks_executed += 1
         if _validate.enabled():
             self._check(pack, t)
-        if snap is not None:
-            t = self._try_jump(pack, snap, rec, t, b, gate_cap, tick)
-        return t + tick
-
-    def _check(self, pack: _Pack, t: float, skipped: int = 0) -> None:
-        """The checker's queue hooks on every column at grid point ``t``:
-        after a real tick, or after a jump over ``skipped`` ticks."""
-        checker = _validate.checker()
-        for st in pack.states:
-            st.env._now = t
-            if skipped:
-                checker.after_macro_jump(st.ex, skipped)
-            else:
-                checker.after_tick(st.ex)
-
-    def _gate(self, pack: _Pack, t: float, tick: float) -> Optional[float]:
-        """Batch-wide change cap: the earliest time any column's tick
-        inputs may change.  ``None`` sleeps the gate (some column can
-        never prove a window — e.g. a live periodic-wave profile)."""
-        cap = math.inf
-        for st in pack.states:
-            c = st.ex._macro_change_cap(t)
-            if c is None:
-                st.backoff = t + _MACRO_BACKOFF * tick
-                pack.gate_at = max(s.backoff for s in pack.states)
-                return None
-            if c < cap:
-                cap = c
-        if cap <= t + tick:
-            return None
-        return cap
-
-    def _snapshot(self, pack: _Pack) -> tuple:
-        """Bitwise pre-tick image of the mutable fluid state."""
-        return (
-            pack._backlog.copy(),
-            pack._egress.copy(),
-            [(dict(st.ex._unhosted), list(st.ex._migrating))
-             for st in pack.cols],
-        )
-
-    def _try_jump(
-        self,
-        pack: _Pack,
-        snap: tuple,
-        rec: Optional[_TickRecord],
-        t: float,
-        b: float,
-        cap: float,
-        tick: float,
-    ) -> float:
-        """Classify each column's probe tick and, if all are stationary,
-        replay as many grid points as remain provably identical.
-
-        Fixed-point and linear-drift columns share one check: the drift
-        trajectory reproduces a fixed point bitwise (the probe proved
-        ``queue − served == backlog``), and the vectorized prefix check
-        of :func:`~repro.engine.executor._drift_prefix` truncates the
-        jump at the first tick any queue would newly saturate or drain
-        empty.  The ticks then commit through the serial engine's one
-        replay, :func:`~repro.engine.executor._replay`.
-        """
-        pre_backlog, pre_egress, pre_misc = snap
-        for c, st in enumerate(pack.cols):
-            ex = st.ex
-            if (
-                pack._egress[c].tobytes() != pre_egress[c].tobytes()
-                or ex._unhosted != pre_misc[c][0]
-                or ex._migrating != pre_misc[c][1]
-            ):
-                return t
+        if image is None:
+            return t + tick
         grid = _grid(t, tick, _MACRO_MAX_SKIP, min(b, cap))
-        k = _prefix((grid <= b) & (grid < cap))
-        if rec is not None:
-            k = _drift_prefix(pack._backlog, rec, k)
-        if k < 1:
-            return t
-        if rec is not None:
-            _Run(k, rec.increments(), drift=rec).commit(pack, 0, k)
+        run = _jump(pack, cols, image, rec, grid[:_prefix(grid <= b)], cap)
+        if run is None:
+            return t + tick
+        k = run.n
+        run.commit(pack, 0, k)
         for st in pack.v0:
             _Run(k, st.last.increments()).commit(st.ex, 0, k)
         g = float(grid[k - 1])
@@ -591,7 +526,18 @@ class BatchRunner:
             perf.add("engine.ticks", k * len(pack.states))
         if _validate.enabled():
             self._check(pack, g, skipped=k)
-        return g
+        return g + tick
+
+    def _check(self, pack: _Pack, t: float, skipped: int = 0) -> None:
+        """The checker's queue hooks on every column at grid point ``t``:
+        after a real tick, or after a jump over ``skipped`` ticks."""
+        checker = _validate.checker()
+        for st in pack.states:
+            st.env._now = t
+            if skipped:
+                checker.after_macro_jump(st.ex, skipped)
+            else:
+                checker.after_tick(st.ex)
 
     def _phases(
         self, pack: _Pack, t: float, dt: float
@@ -616,4 +562,4 @@ class BatchRunner:
         sp = pack.speed
         sp.update(t, dt)
         return _flow_phases(pack, pack.columns, sp, t, dt,
-                            rates[:C, :pack.Imax], True)
+                            rates[:C, :pack.Imax])

@@ -50,25 +50,31 @@ time, replaying the per-tick accumulator increments it recorded from one
 probe tick so every ledger ends up bit-identical to a tick-by-tick run
 (test-enforced; set ``REPRO_MACROSTEP=0`` to disable).  The mechanism:
 
-* after each tick the engine compares a pre-tick snapshot of the mutable
-  fluid state (backlogs, egress, unhosted, migrations) bitwise against
-  the post-tick state; an unchanged state is a fixed point.  If *only*
-  the backlogs moved (saturated queues growing, or draining at full
-  capacity — the common regime under the paper's Ω̂ < 1 provisioning)
-  the engine enters *linear-drift* mode: a vectorized check over the
-  processing recurrence's trajectory (:func:`_drift_prefix`) proves the
-  served amounts stay bit-identical over the jump, and at settle time
-  the same trajectory (:func:`_drift_state`) advances the backlog float
-  for float,
-* cheap *change caps* bound how far the fixed point provably extends:
-  the next rate-profile breakpoint, CPU-coefficient trace boundary, VM
-  ready time, network-budget refresh, and migration arrival,
+* one protocol serves both engines, on an *owner* (this executor, or a
+  batch pack) and its column executors.  Before a probe tick the gate
+  (:func:`_gate_cap`) takes the earliest *change cap* over the columns,
+  how far the probe's increments provably hold: the next rate-profile
+  breakpoint, CPU-coefficient trace boundary, VM ready time,
+  network-budget refresh, checkpoint sweep and migration arrival.  It
+  keeps an image (:func:`_image`) of the state the probe must leave
+  bitwise unchanged: egress, holding buffers and migrations,
+* after the probe, :func:`_jump` sizes the jump.  Only the input queues
+  may have moved (saturated queues growing, or draining at full
+  capacity — the common regime under the paper's Ω̂ < 1 provisioning),
+  so every stationary probe is sized as a *linear drift*, a fixed point
+  being a drift of zero: a vectorized check over the processing
+  recurrence's trajectory (:func:`_drift_prefix`) proves the served
+  amounts stay bit-identical over the jump, and at settle time the same
+  trajectory (:func:`_drift_state`) advances the backlog float for
+  float,
 * *event caps* bound how far the engine may sleep: the wake-up must land
   strictly before every pending foreign kernel event (``env.peek()``,
-  e.g. the failure driver) and at or before every registered boundary
-  (:meth:`add_macro_boundary`: the manager's adaptation interval, VM
-  billing-hour edges), so foreign processes never act mid-jump and the
-  kernel's event order stays identical to normal mode,
+  e.g. the failure driver) and at or before the run horizon
+  (``env.run_horizon``, the interval boundary under
+  :meth:`~repro.engine.manager.RunManager.run`), so foreign processes
+  never act mid-jump and the kernel's event order stays identical to
+  normal mode.  A batch jumps over the grid points up to its interval
+  boundary,
 * wake times are produced by the same repeated ``t + tick`` float
   addition the per-tick loop would have performed (one accumulate,
   :func:`_grid`) and scheduled via
@@ -117,7 +123,7 @@ from __future__ import annotations
 
 import math
 import os
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -528,8 +534,7 @@ def _unbound(want: np.ndarray, cap: np.ndarray) -> bool:
 
 
 def _flow_phases(o, columns, sp: _SpeedPhase, t: float, dt: float,
-                 rates: np.ndarray, record: bool,
-                 scalar: bool = True) -> Optional[_TickRecord]:
+                 rates: np.ndarray, scalar: bool = True) -> _TickRecord:
     """Tick phases 0 and 2–5, shared by the serial and the batch tick.
 
     ``o`` owns the state arrays under the executor's names, with the
@@ -545,7 +550,7 @@ def _flow_phases(o, columns, sp: _SpeedPhase, t: float, dt: float,
     the column's scalar work: migration release, the unhosted holding
     buffers and network refresh, unless ``scalar`` is off (a time pack,
     whose window opens only when none of it is due).  Returns the tick's
-    :class:`_TickRecord` when ``record`` is set.
+    :class:`_TickRecord`.
     """
     backlog = o._backlog
     V = backlog.shape[-1]
@@ -663,10 +668,8 @@ def _flow_phases(o, columns, sp: _SpeedPhase, t: float, dt: float,
             eg += flow
         elif n_grown:
             eg[grown] += flow[grown]
-    if record:
-        return _TickRecord(deliv, ext, arr_inc, proc_inc, del_inc,
-                           arrivals, sp.cap_msgs, served)
-    return None
+    return _TickRecord(deliv, ext, arr_inc, proc_inc, del_inc,
+                       arrivals, sp.cap_msgs, served)
 
 
 class _SpeedView:
@@ -727,7 +730,7 @@ class _TimePack:
         for name in _ACC:
             setattr(self, name, np.zeros((self.k,) + getattr(o, name).shape))
         return _flow_phases(self, self.columns, self.sp, t, dt, rates,
-                            True, scalar=False)
+                            scalar=False)
 
 
 def _window_pass(o, columns: dict, sp: _SpeedPhase, grid: np.ndarray,
@@ -797,6 +800,59 @@ class _Run:
             o._egress[...] = self.egress[b - 1]
         elif self.drift is not None:
             o._backlog[...] = _drift_state(o._backlog, self.drift, b - a)
+
+
+def _gate_cap(columns, t: float, tick: float) -> Optional[float]:
+    """The macro gate of both engines: the earliest change cap
+    (:meth:`FluidExecutor._macro_change_cap`) over the column executors
+    at ``t``, or ``None`` when no skipped tick fits before it.  A column
+    that can prove no constant stretch at all backs the gate off for
+    ``_MACRO_BACKOFF`` ticks, and the gate stays shut while any column
+    backs off."""
+    for ex in columns:
+        if t < ex._macro_backoff_until:
+            return None
+    cap = math.inf
+    for ex in columns:
+        c = ex._macro_change_cap(t)
+        if c is None:
+            ex._macro_backoff_until = t + _MACRO_BACKOFF * tick
+            return None
+        cap = min(cap, c)
+    return cap if cap > t + tick else None
+
+
+def _image(o, columns) -> tuple:
+    """The fluid state a probe tick must leave bitwise unchanged: ``o``'s
+    egress and each column's holding buffers and migrations.  The input
+    backlogs may move; :func:`_jump` sizes them as a drift."""
+    return (o._egress.tobytes(),
+            [(dict(ex._unhosted), list(ex._migrating)) for ex in columns])
+
+
+def _jump(o, columns, image: tuple, rec: Optional[_TickRecord],
+          grid: np.ndarray, cap: float) -> Optional[_Run]:
+    """The jump a probe tick proves, in both engines: ``None`` unless the
+    tick left ``o``'s :func:`_image` unchanged, else the :class:`_Run`
+    of the probe's record ``rec`` over the leading points of ``grid``
+    that fall before the gate's ``cap``.
+
+    Every stationary probe is sized as a drift (a fixed point is a drift
+    of zero): :func:`_drift_prefix` truncates the jump at the first tick
+    whose served amounts would differ.  A record without served amounts
+    (a tick with nothing deployed) needs no such check, and a batch whose
+    cells all have zero VMs (``rec`` is ``None``) replays nothing into
+    ``o``.
+    """
+    if _image(o, columns) != image:
+        return None
+    n = _prefix(grid < cap)
+    drift = rec if rec is not None and rec.served is not None else None
+    if drift is not None:
+        n = _drift_prefix(o._backlog, drift, n)
+    if n < 1:
+        return None
+    return _Run(n, () if rec is None else rec.increments(), drift=drift)
 
 
 class _MigratingBuffer:
@@ -1052,11 +1108,10 @@ class FluidExecutor:
         self.macro_jumps = 0
         self.macro_ticks_skipped = 0
         self.ticks_executed = 0
-        self._macro_boundaries: list[Callable[[float], float]] = []
         #: Pending jump or window: [run, wake_event, grid, committed].
         self._macro_pending: Optional[list] = None
+        #: The last tick's record: the probe a jump replays.
         self._macro_record: Optional[_TickRecord] = None
-        self._macro_recording = False
         self._macro_resume_at: Optional[float] = None
         self._macro_coef_ok = True
         self._macro_coef_res: list[float] = []
@@ -1454,15 +1509,24 @@ class FluidExecutor:
 
     def _run(self):
         env = self.env
+        cols = (self,)
         while True:
             tick = self.tick
             t = env.now
-            plan = snap = None
-            if self.macro_enabled and t >= self._macro_backoff_until:
-                plan = self._macro_gate(t)
-                if plan is not None:
-                    snap = self._macro_snapshot()
-                    self._macro_recording = True
+            cap = image = None
+            room = False
+            if self.macro_enabled:
+                # The executor's own event has already popped: peek() sees
+                # only foreign events.  A jump or window wakes strictly
+                # before it and at or before the run horizon, so foreign
+                # processes never act mid-jump; the smallest one wakes at
+                # ~t + 2*tick.
+                peek, horizon = env.peek(), env.run_horizon
+                room = peek > t + 2.0 * tick and horizon >= t + 2.0 * tick
+            if room:
+                cap = _gate_cap(cols, t, tick)
+                if cap is not None:
+                    image = _image(self, cols)
             if perf.enabled():
                 with perf.timer("engine.step"):
                     self.step(tick)
@@ -1473,16 +1537,10 @@ class FluidExecutor:
             if _validate.enabled():
                 _validate.checker().after_tick(self)
             wake = None
-            if plan is not None:
-                self._macro_recording = False
-                record = self._macro_record
-                self._macro_record = None
-                drift = self._macro_stationary(snap)
-                if record is not None and drift is not None:
-                    wake = self._macro_arm(t, plan, record, drift)
-            if (wake is None and self.macro_enabled
-                    and t >= self._window_backoff_until):
-                wake = self._window(t)
+            if image is not None:
+                wake = self._macro_jump(t, cap, image, peek, horizon)
+            if wake is None and room and t >= self._window_backoff_until:
+                wake = self._window(t, peek, horizon)
             if wake is not None:
                 try:
                     yield wake
@@ -1501,18 +1559,6 @@ class FluidExecutor:
 
     # -- macro-stepping ----------------------------------------------------------------
 
-    def add_macro_boundary(self, fn: Callable[[float], float]) -> None:
-        """Register a wake-up boundary for macro-stepping.
-
-        ``fn(t)`` must return the earliest boundary time strictly after
-        ``t`` (or ``inf``).  A macro jump's wake-up tick lands at or
-        before every registered boundary, so code that runs at such
-        times (the manager's per-interval adaptation, billing-hour
-        edges) always observes an executor that has just executed a real
-        tick, exactly as in per-tick mode.
-        """
-        self._macro_boundaries.append(fn)
-
     @property
     def macro_jump_ratio(self) -> float:
         """Fraction of tick-grid points covered by jumps and windows
@@ -1520,46 +1566,36 @@ class FluidExecutor:
         total = self.ticks_executed + self.macro_ticks_skipped
         return self.macro_ticks_skipped / total if total else 0.0
 
-    def _macro_gate(self, t: float) -> Optional[tuple[float, float, float]]:
-        """Cheap pre-step feasibility check for a jump starting at ``t``.
+    def _wake_grid(self, t: float, n: int, peek: float,
+                   horizon: float) -> np.ndarray:
+        """The grid points after ``t`` a jump or window may wake at: up to
+        ``n`` of them, strictly before ``peek`` and at or before
+        ``horizon``.  The tick grid is generated by the same repeated
+        ``g + tick`` float addition the per-tick loop performs
+        (:func:`_grid`), so every skipped tick and the wake-up land on
+        the exact floats of a normal run."""
+        grid = _grid(t, self.tick, n, min(peek, horizon))
+        return grid[:_prefix((grid < peek) & (grid <= horizon))]
 
-        Returns ``(change_cap, event_peek, boundary_cap)`` when a jump of
-        at least one skipped tick is possible, else ``None`` (the step
-        then runs without the snapshot/record overhead).
+    def _macro_jump(self, t: float, cap: float, image: tuple, peek: float,
+                    horizon: float) -> Optional[object]:
+        """Arm a jump from the probe tick at ``t``; returns the wake event.
+
+        Grid point ``k`` (1-based) is skipped for ``k <= n`` and woken at
+        for ``k == n + 1``; :func:`_jump` sizes ``n`` over the skippable
+        points, each followed by a valid wake-up.
         """
-        tick = self.tick
-        # The executor's own event has already popped: peek() sees only
-        # foreign events.  The smallest useful jump wakes at ~t + 2*tick.
-        peek = self.env.peek()
-        if peek <= t + 2.0 * tick:
+        grid = self._wake_grid(t, _MACRO_MAX_SKIP + 1, peek, horizon)
+        run = _jump(self, (self,), image, self._macro_record, grid[:-1], cap)
+        if run is None:
             return None
-        cap = self._macro_change_cap(t)
-        if cap is None:
-            # No constant window can be proven at all — in practice a
-            # permanent property of the scenario (see the backoff note
-            # in __init__), so sleep the gate rather than re-proving
-            # the impossibility on every tick.  Jumps are best-effort:
-            # a missed opportunity never affects equivalence.
-            self._macro_backoff_until = t + _MACRO_BACKOFF * tick
-            return None
-        if cap <= t + tick:
-            return None
-        bound = self._macro_bound(t)
-        if bound < t + 2.0 * tick:
-            return None
-        return (cap, peek, bound)
+        self.macro_jumps += 1
+        if perf.enabled():
+            perf.add("engine.macro_jumps")
+        return self._macro_pend(run, grid[:run.n + 1])
 
-    def _macro_bound(self, t: float) -> float:
-        """The earliest registered boundary after ``t``, or the run
-        horizon: a jump or window wakes at or before it."""
-        bound = self.env.run_horizon
-        for fn in self._macro_boundaries:
-            b = fn(t)
-            if b < bound:
-                bound = b
-        return bound
-
-    def _window(self, t: float) -> Optional[object]:
+    def _window(self, t: float, peek: float,
+                horizon: float) -> Optional[object]:
         """Arm a window after the real tick at ``t``; returns its wake.
 
         The grid points after ``t`` are stacked on a time axis and run
@@ -1572,7 +1608,7 @@ class FluidExecutor:
         grid point whose phase-1 key (trace step) differs, a VM ready
         time, the network refresh and the next checkpoint sweep; its
         wake lands strictly before every foreign event and at or before
-        every boundary and the run horizon.
+        the run horizon.
         """
         sp = self._speed
         if (sp is None or sp.fill is not None or self._migrating
@@ -1585,17 +1621,8 @@ class FluidExecutor:
                for name in self.dataflow.inputs):
             return None
         tick = self.tick
-        peek = self.env.peek()
-        if peek <= t + 2.0 * tick:
-            return None
-        bound = self._macro_bound(t)
-        if bound < t + 2.0 * tick:
-            return None
-        grid = _grid(t, tick, _WINDOW_TICKS + 1, min(peek, bound))
-        lim = _prefix((grid < peek) & (grid <= bound)) - 1
-        if lim < 2:
-            return None
-        ticks = grid[:lim]
+        grid = self._wake_grid(t, _WINDOW_TICKS + 1, peek, horizon)
+        ticks = grid[:-1]
         ok = ((ticks < sp.until) & (ticks < self._next_net_refresh)
               & (ticks < self._next_ckpt))
         for g, key in zip(sp.groups, sp.key[1:]):
@@ -1668,68 +1695,6 @@ class FluidExecutor:
             if t < a < cap:
                 cap = a
         return cap
-
-    def _macro_snapshot(self) -> tuple:
-        """Bitwise image of the mutable fluid state (pre-probe)."""
-        return (
-            self._backlog.tobytes(),
-            self._egress.tobytes(),
-            dict(self._unhosted),
-            list(self._migrating),
-        )
-
-    def _macro_stationary(self, snap: tuple) -> Optional[bool]:
-        """Classify the probe tick's effect on the fluid state.
-
-        Returns ``False`` for a bitwise fixed point (nothing changed),
-        ``True`` for the *linear-drift* regime — only the input queues
-        moved (saturated backlogs growing or draining at full capacity,
-        every per-tick increment still constant) — and ``None`` when the
-        state changed in any other way (no jump).
-        """
-        if (
-            self._egress.tobytes() != snap[1]
-            or self._unhosted != snap[2]
-            or self._migrating != snap[3]
-        ):
-            return None
-        return self._backlog.tobytes() != snap[0]
-
-    def _macro_arm(
-        self,
-        t: float,
-        plan: tuple[float, float, float],
-        record: _TickRecord,
-        drift: bool,
-    ) -> Optional[object]:
-        """Arm a jump from the probe tick at ``t``; returns the wake event.
-
-        The tick grid is generated by the same repeated ``g + tick``
-        float addition the per-tick loop performs (:func:`_grid`), so
-        every skipped tick and the wake-up land on the exact floats of a
-        normal run.  Grid point ``k`` (1-based) is skipped for ``k <= n``
-        and woken at for ``k == n + 1``; skipped ticks must precede the
-        change cap, the wake-up must precede every foreign event
-        strictly and every boundary weakly.  In the drift regime the
-        jump is additionally shortened to the prefix over which the
-        served amounts provably stay bit-identical
-        (:func:`_drift_prefix`).
-        """
-        cap, peek, bound = plan
-        grid = _grid(t, self.tick, _MACRO_MAX_SKIP + 1, min(peek, bound))
-        lim = _prefix((grid < peek) & (grid <= bound)) - 1
-        if lim < 1:
-            return None
-        n = _prefix(grid[:lim] < cap)
-        if drift:
-            n = _drift_prefix(self._backlog, record, n)
-        if n < 1:
-            return None
-        self.macro_jumps += 1
-        if perf.enabled():
-            perf.add("engine.macro_jumps")
-        run = _Run(n, record.increments(), drift=record if drift else None)
-        return self._macro_pend(run, grid[:n + 1])
 
     def _macro_pend(self, run: _Run, grid: np.ndarray) -> object:
         """Leave ``run`` pending over ``grid[:-1]`` and schedule the
@@ -1894,9 +1859,8 @@ class FluidExecutor:
         if sp is None:
             sp = self._speed = self._speed_phase()
         sp.update(t, dt)
-        self._macro_record = _flow_phases(
-            self, self._columns, sp, t, dt, rates, self._macro_recording
-        )
+        self._macro_record = _flow_phases(self, self._columns, sp, t, dt,
+                                          rates)
 
     def _idle_tick(self, rates: np.ndarray, dt: float) -> _TickRecord:
         """A tick with nothing deployed: messages still arrive and are
@@ -1952,7 +1916,8 @@ class FluidExecutor:
         slower endpoint's rated NIC, weighted by the destination routing
         shares.  Large VM-pair products are subsampled (see
         ``network_pair_cap``).  All edges are priced in one pass over
-        the fleet's :class:`_LinkPlan`: one ``bandwidth_matrix`` call
+        the fleet's :class:`_LinkPlan`: one ``bandwidth_matrix`` call (a
+        model without one is asked for the same matrix pair by pair)
         and a fixed number of array operations, however many edges.
         """
         # In place (not a fresh array): the batch executor aliases this
@@ -1967,33 +1932,13 @@ class FluidExecutor:
         performance = self.provider.performance
         matrix_fn = getattr(performance, "bandwidth_matrix", None)
         if matrix_fn is None:
-            # A model without the matrix hook: one call per VM pair.
-            for k, iw, src_idx, dst_sample in plan.edges:
-                budget = self._remote_budget[k]
-                dst_share = shares[iw][dst_sample]
-                share_sum = dst_share.sum()
-                for si in src_idx:
-                    src_key = self._vms[si].trace_key
-                    src_rated = self._rated_bw[si]
-                    total_rate = 0.0
-                    for kk, dj in enumerate(dst_sample):
-                        if dj == si:
-                            continue
-                        bw = min(
-                            performance.bandwidth_mbps(
-                                src_key, self._vms[dj].trace_key, t
-                            ),
-                            src_rated,
-                            self._rated_bw[dj],
-                        )
-                        if bw == np.inf:
-                            continue  # colocated: in-memory transfer
-                        total_rate += (bw / per_msg_mbit) * (
-                            dst_share[kk] / share_sum
-                            if share_sum > 0 else 1.0
-                        )
-                    budget[si] = total_rate if total_rate > 0 else np.inf
-            return
+            # A model without the matrix hook is asked pair by pair.
+            measured = np.array([
+                [performance.bandwidth_mbps(a, b, t) for b in plan.keys_b]
+                for a in plan.keys_a
+            ], dtype=float)
+        else:
+            measured = matrix_fn(plan.keys_a, plan.keys_b, t)
         share = shares[plan.pe, plan.dst]
         # Reduced under the padding mask, each edge's shares go through
         # numpy's pairwise summation as one run: ``ndarray.sum()`` of
@@ -2002,11 +1947,10 @@ class FluidExecutor:
         weights = np.ones_like(share)
         np.divide(share, share_sum[:, np.newaxis], out=weights,
                   where=(share_sum > 0)[:, np.newaxis])
-        measured = matrix_fn(plan.keys_a, plan.keys_b, t)[plan.a, plan.b]
-        bw = np.minimum(measured, plan.rated)
+        bw = np.minimum(measured[plan.a, plan.b], plan.rated)
         contrib = (bw / per_msg_mbit) * weights[plan.edge]
-        # Sequential sum with excluded terms as exact +0.0 matches the
-        # scalar pricing's accumulation order bit for bit.
+        # Sequential sum with excluded terms as exact +0.0 matches a
+        # per-pair loop's running ``total += term`` bit for bit.
         contrib[plan.skip | np.isinf(bw)] = 0.0
         total = _seqsum(contrib)
         self._remote_budget[plan.k, plan.src] = np.where(

@@ -17,7 +17,6 @@ share one interval body.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional
 
@@ -271,14 +270,14 @@ class RunManager:
         crashes = failure_driver.crashes if failure_driver else ()
         return self.result(state, crashes)
 
-    def begin(self, macrostep: Optional[bool] = None) -> RunState:
+    def begin(self) -> RunState:
         """Deploy: plan from the estimated rates, build the executor and
         monitor, and apply the initial plan at t = 0.
 
         No kernel process is started.  :meth:`run` starts the tick
-        process; the batch engine instead drives each executor's clock
-        itself and passes ``macrostep=False`` (it macro-steps across
-        columns, not per executor).
+        process, whose jumps wake at or before the run horizon, the
+        interval boundary it runs to; the batch engine instead drives
+        each executor's clock itself.
         """
         env = Environment()
         with perf.timer("policy.initial_plan"):
@@ -291,7 +290,6 @@ class RunManager:
             selection=plan.selection,
             tick=self.tick,
             message_size_mb=self.message_size_mb,
-            macrostep=macrostep,
             checkpoint_interval=self.checkpoint_interval,
             restore_latency=self.restore_latency,
         )
@@ -312,30 +310,6 @@ class RunManager:
             seed=self.monitor_seed,
             oracle=oracle,
         )
-        if executor.macro_enabled:
-            # Macro jumps must wake at every time this loop acts on the
-            # run: the adaptation interval boundaries and (so cost
-            # snapshots always follow a real tick) VM billing-hour edges.
-            interval = float(self.spec.interval)
-            executor.add_macro_boundary(
-                lambda t: (math.floor(t / interval) + 1.0) * interval
-            )
-            provider = self.provider
-
-            def _billing_edges(t: float) -> float:
-                nxt = math.inf
-                for r in provider.active_instances():
-                    b = (
-                        r.started_at
-                        + (math.floor((t - r.started_at) / 3600.0) + 1.0)
-                        * 3600.0
-                    )
-                    if b < nxt:
-                        nxt = b
-                return nxt
-
-            executor.add_macro_boundary(_billing_edges)
-
         report = apply_plan(self.provider, executor, plan, env.now)
         self._trace_reconcile(report, env.now, interval=0)
         return RunState(

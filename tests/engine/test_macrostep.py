@@ -6,8 +6,10 @@ bit-identical to a tick-by-tick run.  These tests pin that equivalence on
 the edge cases where a jump interacts with the rest of the system — a
 rate breakpoint inside a proposed jump, a VM failure landing exactly on a
 jump boundary, an adaptation interval shorter than the jump the engine
-would like to take, and a mid-interval alternate switch — plus the
-end-to-end surfaces (golden trace, sweep rows).
+would like to take, a mid-interval alternate switch, a foreign process
+acting while a jump or window is pending, and a jump across a VM
+billing-hour edge — plus the end-to-end surfaces (golden trace, sweep
+rows).
 """
 
 from __future__ import annotations
@@ -17,10 +19,12 @@ import pytest
 from repro.cloud import CloudProvider, ConstantPerformance, aws_2013_catalog
 from repro.core import ObjectiveSpec, make_policy
 from repro.engine import FluidExecutor, RunManager
-from repro.experiments import Scenario, fig1_dataflow, run_policy, sweep
+from repro.experiments import (
+    Scenario, SweepRow, fig1_dataflow, run_policy, sweep,
+)
 from repro.obs import collector
 from repro.sim import Environment
-from repro.workloads import ConstantRate, SteppedRate
+from repro.workloads import ConstantRate, PeriodicWave, SteppedRate
 
 
 def _make_executor(df, profiles, allocations, macrostep, tick=1.0):
@@ -138,8 +142,10 @@ class TestExecutorEdgeCases:
 
         With a 1 s tick and a 60 s network refresh the steady-state jump
         pattern wakes on multiples of 60; failing a VM at exactly t=120
-        exercises the settle-then-mutate path at a wake point (and, for
-        the run up to 90, mid-jump truncation via the interrupt path).
+        exercises the settle-then-mutate path at a wake point.  No settle
+        here finds a jump pending: every jump wakes at or before the run
+        horizon of 90 and strictly before the saboteur's timeout at 120.
+        Mid-jump truncation is pinned by :class:`TestLazySettle`.
         """
 
         def build(macro):
@@ -170,7 +176,10 @@ class TestExecutorEdgeCases:
         assert ex_on.macro_ticks_skipped > 0
 
     def test_mid_interval_alternate_switch(self):
-        """A selection switch at t=90.0 truncates the jump in flight."""
+        """A selection switch at t=90.0, before that grid point's tick.
+        Jumps wake strictly before the switcher's timeout, so none is in
+        flight when it acts; :class:`TestLazySettle` pins the
+        truncation."""
 
         def build(macro):
             return _make_executor(
@@ -244,6 +253,95 @@ class TestExecutorEdgeCases:
         assert total == ex_off.ticks_executed
 
 
+TWO_VMS = [{"E1": 2, "E2": 2}, {"E3": 2, "E4": 2}]
+
+
+def _settle_pair(profile, delay, act, until=240.0):
+    """``act(env, ex)`` called from a foreign process ``delay`` seconds
+    after the tick at which the macro-on executor armed its first jump or
+    window, and in a macro-off twin.
+
+    The macro-on world steps the kernel until a run is pending; the twin
+    steps until it has executed as many ticks, so each starts the actor
+    after its tick at the same time.  Both then run to ``until``.
+    Returns ``(kind, pending, on, off)``: the armed run's kind (``"jump"``
+    or ``"window"``), whether it was still pending when the actor acted,
+    and per world the actor's result, the closing interval's stats and
+    every ledger.
+    """
+    worlds = []
+    for macro in (True, False):
+        env, ex = _make_executor(
+            fig1_dataflow(), {"E1": profile}, TWO_VMS, macro
+        )
+        if macro:
+            while ex._macro_pending is None:
+                env.step()
+            ticks = ex.ticks_executed
+            kind = "jump" if ex._macro_pending[0].backlog is None else "window"
+        else:
+            while ex.ticks_executed < ticks:
+                env.step()
+        seen = {}
+
+        def actor(env=env, ex=ex, seen=seen):
+            yield env.timeout(delay)
+            seen["pending"] = ex._macro_pending is not None
+            seen["out"] = act(env, ex)
+
+        env.process(actor(), name="actor")
+        env.run(until=until)
+        worlds.append((seen, _stats_tuple(ex.roll_interval()), _state(ex)))
+    (on, *on_rest), (off, *off_rest) = worlds
+    return kind, on["pending"], (on["out"], *on_rest), (off["out"], *off_rest)
+
+
+class TestLazySettle:
+    """A foreign process acting while a jump or window is pending: the
+    settle commits the ticks before it, and a mutation truncates the run
+    and re-executes the rest for real."""
+
+    @pytest.mark.parametrize("delay", [4.5, 5.0])
+    def test_selection_switch_truncates_a_pending_jump(self, delay):
+        """At 5.0 the switch lands on a skipped tick's time: it acts
+        before that tick, which then runs for real."""
+
+        def switch(env, ex):
+            other = dict(ex.selection)
+            alts = [a.name for a in ex.dataflow["E2"].alternates]
+            other["E2"] = next(a for a in alts if a != other["E2"])
+            ex.set_selection(other)
+
+        kind, pending, on, off = _settle_pair(ConstantRate(4.0), delay, switch)
+        assert (kind, pending) == ("jump", True)
+        assert on == off
+
+    def test_sync_after_a_provision_truncates_a_pending_window(self):
+        def provision(env, ex):
+            vm = ex.provider.provision("m1.xlarge", now=env.now)
+            vm.allocate("E4", 1)
+            ex.sync()
+
+        kind, pending, on, off = _settle_pair(
+            PeriodicWave(4.0, period=600.0), 2.5, provision
+        )
+        assert (kind, pending) == ("window", True)
+        assert on == off
+
+    @pytest.mark.parametrize("rate", [4.0, 50.0])
+    def test_roll_and_backlogs_mid_jump(self, rate):
+        """Non-mutating reads: the jump stays armed across them (at rate
+        50 its backlog drifts)."""
+
+        def read(env, ex):
+            backlogs = ex.backlogs()
+            return backlogs, _stats_tuple(ex.roll_interval())
+
+        kind, pending, on, off = _settle_pair(ConstantRate(rate), 4.5, read)
+        assert (kind, pending) == ("jump", True)
+        assert on == off
+
+
 def _managed_result(fig1, macrostep, monkeypatch, interval, period, rate):
     monkeypatch.setenv("REPRO_MACROSTEP", "1" if macrostep else "0")
     spec = ObjectiveSpec(
@@ -293,6 +391,42 @@ class TestManagedRuns:
         assert on.outcome.theta == off.outcome.theta
         assert on.adaptations == off.adaptations
         assert on.final_selection == off.final_selection
+
+    @pytest.mark.parametrize("policy", ["global", "local"])
+    def test_jump_across_billing_hour_edge(self, policy, monkeypatch):
+        """Nothing reads the executor at a VM billing-hour edge, so jumps
+        are not woken there.  With 480 s intervals the edge at 3600 s
+        lies off the interval grid: the rows still match a per-tick run,
+        and with macro-stepping on some jump skips such an edge's tick."""
+        scenario = Scenario(rate=5.0, interval=480.0, period=7680.0, seed=3)
+        step = FluidExecutor.step
+        out = []
+        for flag in ("1", "0"):
+            monkeypatch.setenv("REPRO_MACROSTEP", flag)
+            stepped = set()
+
+            def logged(self, dt, stepped=stepped):
+                stepped.add(self.env.now)
+                step(self, dt)
+
+            monkeypatch.setattr(FluidExecutor, "step", logged)
+            manager = scenario.manager(policy)
+            result = manager.run()
+            edges = set()
+            for r in manager.provider.all_instances():
+                end = min(r.stopped_at, scenario.period)
+                edge = r.started_at + 3600.0
+                while edge < end:
+                    edges.add(edge)
+                    edge += 3600.0
+            off_grid = {e for e in edges if e % scenario.interval}
+            out.append((
+                SweepRow.from_result(scenario, result).as_tuple(),
+                _timeline_tuples(result), off_grid - stepped,
+            ))
+        (row_on, timeline_on, skipped), (row_off, timeline_off, _) = out
+        assert row_on == row_off and timeline_on == timeline_off
+        assert skipped
 
 
 SCENARIO = dict(rate=5.0, rate_kind="constant", period=600.0, seed=11)
