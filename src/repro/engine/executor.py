@@ -1513,17 +1513,15 @@ class FluidExecutor:
         while True:
             tick = self.tick
             t = env.now
+            macro = self.macro_enabled
             cap = image = None
-            room = False
-            if self.macro_enabled:
-                # The executor's own event has already popped: peek() sees
-                # only foreign events.  A jump or window wakes strictly
-                # before it and at or before the run horizon, so foreign
-                # processes never act mid-jump; the smallest one wakes at
-                # ~t + 2*tick.
-                peek, horizon = env.peek(), env.run_horizon
-                room = peek > t + 2.0 * tick and horizon >= t + 2.0 * tick
-            if room:
+            # The kernel is read only while a jump or a window can still
+            # be armed: before the tick unless the jump gate backs off,
+            # else after it, once the window gate's own refusals passed
+            # (the tick schedules no kernel event, so both reads agree).
+            peeked = macro and t >= self._macro_backoff_until
+            room = self._room(t) if peeked else None
+            if room is not None:
                 cap = _gate_cap(cols, t, tick)
                 if cap is not None:
                     image = _image(self, cols)
@@ -1538,9 +1536,12 @@ class FluidExecutor:
                 _validate.checker().after_tick(self)
             wake = None
             if image is not None:
-                wake = self._macro_jump(t, cap, image, peek, horizon)
-            if wake is None and room and t >= self._window_backoff_until:
-                wake = self._window(t, peek, horizon)
+                wake = self._macro_jump(t, cap, image, *room)
+            if wake is None and macro and self._window_may_open(t):
+                if not peeked:
+                    room = self._room(t)
+                if room is not None:
+                    wake = self._window(t, *room)
             if wake is not None:
                 try:
                     yield wake
@@ -1556,6 +1557,20 @@ class FluidExecutor:
                 self._macro_wake_settle()
                 continue
             yield env.timeout(tick)
+
+    def _room(self, t: float) -> Optional[tuple[float, float]]:
+        """``(peek, horizon)`` when a jump or window fits after the tick
+        at ``t``, else ``None``.
+
+        The executor's own event has already popped: ``env.peek()`` sees
+        only foreign events.  A jump or window wakes strictly before it
+        and at or before the run horizon, so foreign processes never act
+        mid-jump; the smallest one wakes at ~t + 2*tick.
+        """
+        env = self.env
+        peek, horizon = env.peek(), env.run_horizon
+        least = t + 2.0 * self.tick
+        return (peek, horizon) if peek > least and horizon >= least else None
 
     # -- macro-stepping ----------------------------------------------------------------
 
@@ -1594,6 +1609,21 @@ class FluidExecutor:
             perf.add("engine.macro_jumps")
         return self._macro_pend(run, grid[:run.n + 1])
 
+    def _window_may_open(self, t: float) -> bool:
+        """Whether a window may open after the real tick at ``t``, as far
+        as the executor alone can tell: the window gate does not back
+        off, no holding buffer or migration is pending, every input is
+        hosted, phase 1 has no scalar lanes, and some input's rate does
+        not hold still (elsewhere a jump covers a steady stretch for one
+        probe tick, far less than a window's passes)."""
+        sp = self._speed
+        if (t < self._window_backoff_until or sp is None
+                or sp.fill is not None or self._migrating or self._unhosted
+                or not sp.hosted.all()):
+            return False
+        return any(next_rate_change(self.profiles[name], t) <= t
+                   for name in self.dataflow.inputs)
+
     def _window(self, t: float, peek: float,
                 horizon: float) -> Optional[object]:
         """Arm a window after the real tick at ``t``; returns its wake.
@@ -1602,8 +1632,7 @@ class FluidExecutor:
         through the shared tick phases in a few passes
         (:func:`_window_pass`); the verified prefix stays pending like a
         jump, settled lazily up to the wake-up, where the next real tick
-        runs.  No window opens while a holding buffer or migration is
-        pending, an input is unhosted, or phase 1 has scalar lanes.  A
+        runs.  Called only where :meth:`_window_may_open` holds.  A
         window ends at the jump's change cap minus its rate term: a
         grid point whose phase-1 key (trace step) differs, a VM ready
         time, the network refresh and the next checkpoint sweep; its
@@ -1611,15 +1640,6 @@ class FluidExecutor:
         the run horizon.
         """
         sp = self._speed
-        if (sp is None or sp.fill is not None or self._migrating
-                or self._unhosted or not sp.hosted.all()):
-            return None
-        # Only where some input's rate never holds still: elsewhere a
-        # jump covers a steady stretch for one probe tick, far less than
-        # a window's passes.
-        if all(next_rate_change(self.profiles[name], t) > t
-               for name in self.dataflow.inputs):
-            return None
         tick = self.tick
         grid = self._wake_grid(t, _WINDOW_TICKS + 1, peek, horizon)
         ticks = grid[:-1]

@@ -3,7 +3,8 @@
 The paper frames the platform as a persistently running service that
 answers deployment what-ifs online; this package makes the simulator
 one.  ``repro serve`` boots a long-running local HTTP daemon
-(stdlib :mod:`http.server` — no new dependencies) that
+(stdlib :mod:`http.server`'s threading server and connection loop with
+a lean HTTP/1.1 codec of its own — no new dependencies) that
 
 * accepts scenario submissions as JSON over ``POST /run``,
 * answers **warm** queries from the in-memory serving tier in front of
@@ -15,7 +16,10 @@ one.  ``repro serve`` boots a long-running local HTTP daemon
 * streams the observability trace live over a chunked
   ``GET /events`` endpoint while runs are in flight.
 
-:class:`ServeClient` (stdlib :mod:`http.client`) is its client.  Both
+:class:`ServeClient` (plain sockets, no :mod:`http.client`) is its
+client.  Both ends share one head reader and writer
+(:mod:`~repro.serve.protocol`), so a warm request runs no ``email``
+header parsing, and each response leaves the daemon in one write.  Both
 ends keep HTTP/1.1 connections alive: a client thread sends all its
 requests on one connection, and :meth:`ServeDaemon.stop` (or
 ``/shutdown``) closes every connection still open.

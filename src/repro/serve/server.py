@@ -1,4 +1,4 @@
-"""The serve daemon: stdlib HTTP front end over the warm/cold paths.
+"""The serve daemon: a lean HTTP/1.1 front end over the warm/cold paths.
 
 One :class:`ServeDaemon` owns
 
@@ -6,7 +6,11 @@ One :class:`ServeDaemon` owns
   connection — cheap, since warm requests are sub-millisecond and cold
   requests spend their time parked on a pool job).  Connections are
   HTTP/1.1 and stay open between requests; the daemon tracks them, so
-  :meth:`ServeDaemon.stop` closes them all and ``/stats`` counts them,
+  :meth:`ServeDaemon.stop` closes them all and ``/stats`` counts them.
+  The handler keeps the stdlib's connection loop and request-line
+  rules but reads headers with the shared head reader
+  (:func:`~repro.serve.protocol.read_head`) and sends every response,
+  protocol errors included, in one write,
 * a :class:`~repro.serve.scheduler.WorkerPool` running cold cells,
 * the serving tier in :mod:`repro.experiments.cache` (enabled at boot),
 * a broadcast hub fanning live trace events to ``/events`` streamers.
@@ -27,6 +31,10 @@ GET      ``/events``    live trace stream, chunked NDJSON; query params
 POST     ``/shutdown``  graceful stop (close listener and connections,
                         drain pool); the response closes its connection
 =======  =============  ====================================================
+
+Protocol errors (a bad request line, an oversized head, an unknown
+method) are answered like the routes' errors, ``{"error": ...}``, and
+close the connection.
 
 Warm requests skip parsing: the daemon remembers, per exact ``/run``
 body bytes, the scenario, policies and content keys that parsing the
@@ -49,6 +57,7 @@ values.
 
 from __future__ import annotations
 
+import email.utils
 import json
 import queue
 import socket
@@ -62,7 +71,14 @@ from ..experiments import cache
 from ..experiments.scenarios import Scenario
 from ..obs import collector as _trace
 from ..util import perf
-from .protocol import ProtocolError, parse_run_request, row_payload
+from .protocol import (
+    HeadTooLarge,
+    ProtocolError,
+    parse_run_request,
+    read_head,
+    row_payload,
+    write_head,
+)
 from .scheduler import QueueFull, WorkerPool
 
 __all__ = ["ServeDaemon"]
@@ -73,6 +89,19 @@ _DEFAULT_COLD_TIMEOUT_S = 600.0
 #: entry count, so each entry's size must be bounded too.  A request
 #: setting every scenario field and naming every policy is under 1 KiB.
 _MEMO_MAX_BODY = 4096
+
+
+def _http_version(word: str) -> Optional[tuple[int, int]]:
+    """``(major, minor)`` of an ``HTTP/x.y`` word, ``None`` if malformed
+    (by :class:`~http.server.BaseHTTPRequestHandler`'s rules)."""
+    major, dot, minor = word[5:].partition(".")
+    if not (word.startswith("HTTP/") and dot and major.isdigit()
+            and minor.isdigit() and len(major) <= 10 and len(minor) <= 10):
+        return None
+    try:
+        return int(major), int(minor)
+    except ValueError:  # a non-ASCII digit
+        return None
 
 
 def _env_float(name: str, default: float) -> float:
@@ -154,17 +183,88 @@ class _Handler(BaseHTTPRequestHandler):
         if self.daemon.verbose:
             super().log_message(fmt, *args)
 
-    def _json(self, status: int, obj: dict, headers: dict = ()) -> None:
-        body = json.dumps(obj).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in dict(headers or {}).items():
-            self.send_header(name, value)
+    def parse_request(self) -> bool:
+        """The stdlib's request-line and header rules over the shared
+        head reader: 400 on a malformed line or version, 505 on HTTP/2
+        and later, 431 on an oversized head; ``Connection`` and
+        ``Expect: 100-continue`` are honoured.  ``self.headers`` maps
+        lower-cased names to values."""
+        self.command = None
+        self.request_version = self.default_request_version
+        self.close_connection = True
+        self.requestline = line = str(
+            self.raw_requestline, "latin-1"
+        ).rstrip("\r\n")
+        words = line.split()
+        if not words:
+            return False
+        if len(words) >= 3:
+            version = _http_version(words[-1])
+            if version is None:
+                self.send_error(400, f"Bad request version ({words[-1]!r})")
+                return False
+            if version >= (2, 0):
+                self.send_error(505, f"Invalid HTTP version ({words[-1]})")
+                return False
+            self.close_connection = version < (1, 1)
+            self.request_version = words[-1]
+        if not 2 <= len(words) <= 3:
+            self.send_error(400, f"Bad request syntax ({line!r})")
+            return False
+        self.command, path = words[:2]
+        if len(words) == 2:
+            self.close_connection = True
+            if self.command != "GET":
+                self.send_error(400, f"Bad HTTP/0.9 request type "
+                                     f"({self.command!r})")
+                return False
+        # As the stdlib: a leading '//' would read as a scheme-less URL.
+        self.path = "/" + path.lstrip("/") if path.startswith("//") else path
+        try:
+            _, self.headers = read_head(self.rfile, self.raw_requestline)
+        except HeadTooLarge as exc:
+            self.send_error(exc.status, str(exc))
+            return False
+        conntype = self.headers.get("connection", "").lower()
+        if conntype == "close":
+            self.close_connection = True
+        elif conntype == "keep-alive":
+            self.close_connection = False
+        if (self.headers.get("expect", "").lower() == "100-continue"
+                and self.request_version >= "HTTP/1.1"):
+            return self.handle_expect_100()
+        return True
+
+    def send_error(self, code, message=None, explain=None) -> None:
+        """Answer a protocol error like a route's, ``{"error": ...}``,
+        and close the connection."""
+        if message is None:
+            message = self.responses.get(code, ("",))[0]
+        self.log_error("code %d, message %s", code, message)
+        self.close_connection = True
+        self._json(int(code), {"error": message})
+
+    def _respond(self, status: int, body: bytes, headers) -> None:
+        """Send one response in a single write: the head, with
+        ``headers`` and ``Connection: close`` when the connection ends
+        after it, then ``body``.  Unlike the stdlib, an answer to a
+        request line without a usable version has a head too."""
+        self.log_request(status)
+        fields = [("Server", self.version_string()),
+                  ("Date", self.daemon.http_date()), *headers]
         if self.close_connection:
-            self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(body)
+            fields.append(("Connection", "close"))
+        reason = self.responses.get(status, ("",))[0]
+        self.wfile.write(write_head(
+            f"{self.protocol_version} {status} {reason}", fields) + body)
+
+    def _json(self, status: int, obj: dict, headers=()) -> None:
+        body = json.dumps(obj).encode("utf-8")
+        self._respond(status, body, [
+            ("Content-Type", "application/json"),
+            ("Content-Length", len(body)),
+            *headers,
+        ])
 
     def _read_body(self) -> bytes:
         """Read the whole request body, before any routing.
@@ -175,10 +275,10 @@ class _Handler(BaseHTTPRequestHandler):
         """
         close_after = self.close_connection
         self.close_connection = True
-        if "Transfer-Encoding" in self.headers:
+        if "transfer-encoding" in self.headers:
             raise ProtocolError("send the body with a Content-Length")
         try:
-            length = int(self.headers.get("Content-Length") or 0)
+            length = int(self.headers.get("content-length") or 0)
         except ValueError:
             length = -1
         if length < 0:
@@ -224,7 +324,7 @@ class _Handler(BaseHTTPRequestHandler):
             self._json(
                 429,
                 {"error": str(exc), "pending": exc.pending},
-                headers={"Retry-After": str(exc.retry_after_s)},
+                headers=[("Retry-After", exc.retry_after_s)],
             )
         except BrokenPipeError:
             raise
@@ -286,10 +386,7 @@ class _Handler(BaseHTTPRequestHandler):
     # -- /events --------------------------------------------------------------
 
     def _write_chunk(self, data: bytes) -> None:
-        self.wfile.write(f"{len(data):X}\r\n".encode("ascii"))
-        self.wfile.write(data)
-        self.wfile.write(b"\r\n")
-        self.wfile.flush()
+        self.wfile.write(b"%X\r\n%s\r\n" % (len(data), data))
 
     def _stream_events(self, params: dict) -> None:
         try:
@@ -302,10 +399,8 @@ class _Handler(BaseHTTPRequestHandler):
             timeout_s = None
 
         sub = self.daemon.broadcast.attach()
-        self.send_response(200)
-        self.send_header("Content-Type", "application/x-ndjson")
-        self.send_header("Transfer-Encoding", "chunked")
-        self.end_headers()
+        self._respond(200, b"", [("Content-Type", "application/x-ndjson"),
+                                 ("Transfer-Encoding", "chunked")])
         sent = 0
         deadline = (
             time.monotonic() + timeout_s if timeout_s is not None else None
@@ -366,6 +461,8 @@ class ServeDaemon:
         self._accepted = 0
         self._conns_lock = threading.Lock()
         self._started_at = time.time()
+        #: The ``Date`` header of the current second, ``(second, text)``.
+        self._date: tuple[int, str] = (-1, "")
         self._thread: Optional[threading.Thread] = None
         #: Whether a serve loop began, and whether stop() began (both
         #: under ``_conns_lock``): a loop never begins after a stop.
@@ -482,6 +579,17 @@ class ServeDaemon:
         if memo is not None:
             memo.put(body, parsed)
         return parsed
+
+    def http_date(self) -> str:
+        """The ``Date`` header's value, formatted at most once per
+        second.  Handler threads replace the cached pair whole, so none
+        reads one second's text for another's."""
+        second = int(time.time())
+        cached = self._date
+        if cached[0] != second:
+            cached = self._date = (
+                second, email.utils.formatdate(second, usegmt=True))
+        return cached[1]
 
     def count(self, name: str, n: int = 1) -> None:
         with self._counters_lock:

@@ -267,3 +267,30 @@ class TestValidation:
         )
         with pytest.raises(ValueError, match="unknown PE"):
             ex.sync()
+
+
+class OpaquePerformance(ConstantPerformance):
+    """Constant performance the engine can only ask VM by VM: phase 1
+    has scalar lanes, which no jump and no window spans."""
+
+    cpu_series_view = None
+
+
+def test_shut_gates_do_not_read_the_kernel(chain3, monkeypatch):
+    """With macro-stepping on, a tick reads the kernel's next event only
+    while a jump or a window can still be armed.  Here neither ever can:
+    the jump gate backs off 64 ticks after each refusal, and scalar
+    lanes shut the window gate, so one tick in 64 peeks."""
+    env, ex = make_executor(chain3, performance=OpaquePerformance(),
+                            macrostep=True)
+    peeks = []
+    peek = env.peek
+
+    def counted() -> float:
+        peeks.append(env.now)
+        return peek()
+
+    monkeypatch.setattr(env, "peek", counted)
+    env.run(until=640.0)
+    assert ex.ticks_executed == 641 and ex.macro_ticks_skipped == 0
+    assert peeks == [64.0 * k for k in range(11)]
