@@ -261,8 +261,9 @@ class BoundedLRU:
 
     The serving tier keys deserialized rows by content hash; the serve
     daemon keys parsed request bodies by their bytes.  Every reader
-    shares the stored object, so values must be read-only: rows are
-    frozen dataclasses, with no per-request state to leak.
+    shares the stored object, so values must hold no per-request state
+    to leak: rows are frozen dataclasses, and a parsed body's encoded
+    results, filled on first use, are the same bytes for every request.
     """
 
     def __init__(self, capacity: int) -> None:

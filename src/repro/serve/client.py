@@ -23,7 +23,7 @@ import time
 from typing import BinaryIO, Iterator, NamedTuple, Optional, Sequence
 from urllib.parse import urlsplit
 
-from .protocol import MAX_LINE, ProtocolError, read_head, write_head
+from .protocol import MAX_LINE, ProtocolError, read_head
 
 __all__ = ["ServeClient", "ServerBusy", "ServerError"]
 
@@ -32,6 +32,9 @@ _STALE = (ConnectionResetError, BrokenPipeError)
 
 #: An open connection: the socket and its buffered reader.
 _Conn = tuple[socket.socket, BinaryIO]
+
+#: The end of a request head that carries a body of ``%d`` bytes.
+_BODY_HEAD = b"Content-Type: application/json\r\nContent-Length: %d\r\n\r\n"
 
 
 class ServerError(RuntimeError):
@@ -92,6 +95,8 @@ class ServeClient:
         self._prefix = url.path
         self._idle: list[_Conn] = []
         self._lock = threading.Lock()
+        #: ``(method, path)`` → its head's fixed part (see :meth:`_head`).
+        self._heads: dict[tuple[str, str], bytes] = {}
 
     def __enter__(self) -> "ServeClient":
         return self
@@ -114,16 +119,18 @@ class ServeClient:
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         return sock, sock.makefile("rb")
 
-    def _exchange(self, conn: _Conn, method: str, path: str,
+    def _head(self, method: str, path: str) -> bytes:
+        """A request head's fixed part: its start line and ``Host``."""
+        return (f"{method} {self._prefix}{path} HTTP/1.1\r\n"
+                f"Host: {self._authority}\r\n").encode("latin-1")
+
+    def _exchange(self, conn: _Conn, head: bytes,
                   data: Optional[bytes]) -> _Response:
-        """Send one request on ``conn`` and read its response head."""
+        """Send one request on ``conn``, its head's fixed part ``head``
+        and ``data``, and read its response head."""
         sock, rfile = conn
-        fields = [("Host", self._authority)]
-        if data is not None:
-            fields += [("Content-Type", "application/json"),
-                       ("Content-Length", len(data))]
-        sock.sendall(write_head(f"{method} {self._prefix}{path} HTTP/1.1",
-                                fields) + (data or b""))
+        end = b"\r\n" if data is None else _BODY_HEAD % len(data)
+        sock.sendall(head + end + (data or b""))
         start, headers = read_head(rfile)
         if not start:
             raise ConnectionResetError(
@@ -141,12 +148,15 @@ class ServeClient:
     def _request(
         self, method: str, path: str, data: Optional[bytes] = None
     ) -> dict:
+        head = self._heads.get((method, path))
+        if head is None:
+            head = self._heads[method, path] = self._head(method, path)
         with self._lock:
             conn = self._idle.pop() if self._idle else None
         try:
             if conn is not None:
                 try:
-                    resp = self._exchange(conn, method, path, data)
+                    resp = self._exchange(conn, head, data)
                 except _STALE:
                     # Cells are content-addressed, so every request is
                     # idempotent: resend once, on a fresh connection.
@@ -154,7 +164,7 @@ class ServeClient:
                     conn = None
             if conn is None:
                 conn = self._open()
-                resp = self._exchange(conn, method, path, data)
+                resp = self._exchange(conn, head, data)
             payload = b"".join(_body(conn[1], resp))
         except BaseException:
             if conn is not None:
@@ -222,7 +232,7 @@ class ServeClient:
         path = "/events" + ("?" + "&".join(params) if params else "")
         conn = self._open()
         try:
-            resp = self._exchange(conn, "GET", path, None)
+            resp = self._exchange(conn, self._head("GET", path), None)
             chunks = _body(conn[1], resp)
             if resp.status >= 400:
                 raise resp.error(b"".join(chunks))
